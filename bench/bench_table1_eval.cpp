@@ -288,39 +288,6 @@ void BM_Engine_EvalBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_Engine_EvalBatch)->Arg(8)->Arg(32);
 
-// Scatter-gather enumeration over a hash-partitioned snapshot, swept
-// over the shard count (1 = the sharded entry point's fallback path).
-// Asserts at teardown that the sharded answers are bit-identical to
-// unsharded enumeration — the soundness contract of the sharded path —
-// and reports the shard and engine-thread counts as counters. No
-// speedup is asserted: the sweep's value is the scaling column itself,
-// which depends on the host's core count.
-void BM_Engine_EnumerateSharded(benchmark::State& state) {
-  size_t shards = static_cast<size_t>(state.range(0));
-  Fig1Instance inst(/*num_bands=*/256);
-  ShardedDatabase sharded(inst.db, shards);
-  EngineOptions eopts;
-  eopts.num_threads = 4;
-  Engine engine(eopts);
-  CallOptions opts;
-  std::vector<Mapping> sharded_answers;
-  for (auto _ : state) {
-    Result<std::vector<Mapping>> r =
-        engine.Enumerate(inst.tree, sharded, opts);
-    WDPT_CHECK(r.ok());
-    sharded_answers = *r;
-    benchmark::DoNotOptimize(r);
-  }
-  Result<std::vector<Mapping>> unsharded =
-      engine.Enumerate(inst.tree, inst.db, opts);
-  WDPT_CHECK(unsharded.ok());
-  WDPT_CHECK(sharded_answers == *unsharded);
-  state.counters["shards"] = static_cast<double>(shards);
-  state.counters["threads"] = static_cast<double>(engine.num_threads());
-  state.counters["answers"] = static_cast<double>(sharded_answers.size());
-}
-BENCHMARK(BM_Engine_EnumerateSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 }  // namespace
 }  // namespace wdpt::bench
 

@@ -62,14 +62,6 @@ uint64_t Trace::TotalNs() const {
   return total;
 }
 
-uint64_t Trace::MaxShardNs() const {
-  uint64_t max_ns = 0;
-  for (uint64_t ns : shard_spans_ns_) {
-    if (ns > max_ns) max_ns = ns;
-  }
-  return max_ns;
-}
-
 std::string Trace::BreakdownString() const {
   std::string out;
   // Query-pipeline stages always print (a zero is informative there);
@@ -82,12 +74,6 @@ std::string Trace::BreakdownString() const {
     std::snprintf(buf, sizeof(buf), "%s=%.2fms",
                   TraceStageName(static_cast<TraceStage>(i)),
                   static_cast<double>(spans_ns_[i]) / 1e6);
-    out += buf;
-  }
-  if (shard_fanout_ > 0) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), " shards=%u shard_max=%.2fms",
-                  shard_fanout_, static_cast<double>(MaxShardNs()) / 1e6);
     out += buf;
   }
   out += " cache=";

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace wdpt {
 
@@ -31,7 +30,7 @@ enum class TraceStage : uint8_t {
   kQueueWait = 0,  ///< Admission to worker pickup (server only).
   kParse,          ///< Query text -> validated PatternTree.
   kPlanLookup,     ///< Plan-cache key + lookup.
-  kPlanBuild,      ///< Classification + decomposition on a cache miss.
+  kPlanBuild,      ///< Classification + algorithm choice on a cache miss.
   kCacheLookup,    ///< Answer-cache key + lookup (includes any
                    ///< single-flight wait for an in-flight owner).
   kEval,           ///< Evaluation / enumeration proper.
@@ -109,24 +108,6 @@ class Trace {
   void set_classification(TractabilityClass c) { classification_ = c; }
   TractabilityClass classification() const { return classification_; }
 
-  /// Scatter-gather fan-out: the number of shard tasks this request's
-  /// evaluation spread across (0 = unsharded execution). Feeds the
-  /// server's `shard_fanout` histogram.
-  void set_shard_fanout(uint32_t n) { shard_fanout_ = n; }
-  uint32_t shard_fanout() const { return shard_fanout_; }
-
-  /// Appends one shard task's wall time. The engine records these on
-  /// the coordinating thread *after* the gather barrier — a Trace is
-  /// single-owner and not thread-safe, so shard tasks never touch it.
-  void RecordShard(uint64_t ns) { shard_spans_ns_.push_back(ns); }
-  const std::vector<uint64_t>& shard_spans_ns() const {
-    return shard_spans_ns_;
-  }
-
-  /// Longest shard task span (0 when unsharded): the critical path of
-  /// the scatter phase.
-  uint64_t MaxShardNs() const;
-
   /// Answer-cache outcome for the request; stamped by the engine on the
   /// cache-participating paths, left at kBypass everywhere else.
   void set_cache_outcome(CacheOutcome outcome) { cache_outcome_ = outcome; }
@@ -171,8 +152,6 @@ class Trace {
   TractabilityClass classification_ = TractabilityClass::kUnknown;
   CacheOutcome cache_outcome_ = CacheOutcome::kBypass;
   const char* mode_ = "unknown";
-  uint32_t shard_fanout_ = 0;
-  std::vector<uint64_t> shard_spans_ns_;
 };
 
 }  // namespace wdpt

@@ -7,10 +7,10 @@
 // cost a hash lookup, not a re-evaluation. Two repo invariants make a
 // sound answer cache cheap:
 //
-//   * every evaluation path (projected, full-enumeration, maximal,
-//     sharded scatter-gather) returns the same canonically ordered
-//     answer vector bit-identically, so one cache entry serves them
-//     all and the key need not mention the algorithm or width bound;
+//   * every evaluation path (projected, full-enumeration, maximal)
+//     returns the same canonically ordered answer vector
+//     bit-identically, so one cache entry serves them all and the key
+//     need not mention the algorithm or width bound;
 //   * snapshots are immutable and RELOAD stamps each one with a
 //     monotonically increasing generation, so invalidation is by
 //     construction — a new generation simply never matches old keys,

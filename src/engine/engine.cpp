@@ -1,11 +1,8 @@
 #include "src/engine/engine.h"
 
-#include <algorithm>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
-#include "src/cq/homomorphism.h"
 #include "src/wdpt/eval_max.h"
 #include "src/wdpt/eval_naive.h"
 #include "src/wdpt/eval_partial.h"
@@ -29,29 +26,6 @@ uint64_t ElapsedNs(Clock::time_point start) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            start)
           .count());
-}
-
-// Picks the root-label atom to scatter by: the one whose relation holds
-// the most facts in the full view (its matches spread widest across the
-// shards), ties broken by label position. Nullary relations cannot be
-// partitioned (a shard stores no arity-0 rows), so they are skipped;
-// ground atoms of arity >= 1 are fine — their single matching fact
-// lives in exactly one shard. Returns false when no atom qualifies.
-bool PickSeedAtom(const PatternTree& tree, const Database& full,
-                  size_t* seed_index) {
-  const std::vector<Atom>& label = tree.label(PatternTree::kRoot);
-  bool found = false;
-  size_t best_size = 0;
-  for (size_t i = 0; i < label.size(); ++i) {
-    if (full.schema().Arity(label[i].relation) == 0) continue;
-    size_t size = full.relation(label[i].relation).size();
-    if (!found || size > best_size) {
-      found = true;
-      *seed_index = i;
-      best_size = size;
-    }
-  }
-  return found;
 }
 
 }  // namespace
@@ -287,11 +261,28 @@ Result<std::vector<bool>> Engine::EvalBatch(const PatternTree& tree,
   return results;
 }
 
+Result<std::vector<Mapping>> Engine::EnumerateCore(
+    const PatternTree& tree, const Database& db, const CallOptions& options,
+    const CancelToken& token) {
+  EnumerationLimits limits = options.limits;
+  limits.cancel = token;
+  Result<std::vector<Mapping>> result =
+      options.semantics == EvalSemantics::kMaximal
+          ? EvaluateWdptMaximal(tree, db, limits)
+          : EvaluateWdpt(tree, db, limits);
+  // As in EvalWithPlan: a token that fired during the call invalidates
+  // whatever the wound-down computation returned.
+  Status token_status = StatusFromToken(token);
+  if (!token_status.ok()) return token_status;
+  return result;
+}
+
 Result<std::vector<Mapping>> Engine::EnumerateThroughCache(
-    const PatternTree& tree, const CallOptions& options,
-    const CancelToken& token,
-    const std::function<Result<std::vector<Mapping>>()>& evaluate) {
-  if (!CacheParticipates(options)) return evaluate();
+    const PatternTree& tree, const Database& db, const CallOptions& options,
+    const CancelToken& token) {
+  if (!CacheParticipates(options)) {
+    return EnumerateCore(tree, db, options, token);
+  }
   std::string key = EnumerateCacheKey(
       tree, static_cast<uint8_t>(options.semantics), options.limits,
       options.cache.generation);
@@ -306,7 +297,8 @@ Result<std::vector<Mapping>> Engine::EnumerateThroughCache(
       return lease.value()->answers;
     case AnswerCache::Lease::State::kOwner: {
       if (trace != nullptr) trace->set_cache_outcome(CacheOutcome::kMiss);
-      Result<std::vector<Mapping>> result = evaluate();
+      Result<std::vector<Mapping>> result =
+          EnumerateCore(tree, db, options, token);
       if (result.ok()) {
         AnswerCache::Value value;
         value.answers = *result;
@@ -317,20 +309,10 @@ Result<std::vector<Mapping>> Engine::EnumerateThroughCache(
     case AnswerCache::Lease::State::kMiss: {
       if (!lease.wait_status().ok()) return lease.wait_status();
       if (trace != nullptr) trace->set_cache_outcome(CacheOutcome::kMiss);
-      return evaluate();
+      return EnumerateCore(tree, db, options, token);
     }
   }
   return Status::Internal("unreachable cache lease state");
-}
-
-Result<std::vector<Mapping>> Engine::EnumerateCore(
-    const PatternTree& tree, const Database& db, const CallOptions& options,
-    const CancelToken& token) {
-  EnumerationLimits limits = options.limits;
-  limits.cancel = token;
-  return options.semantics == EvalSemantics::kMaximal
-             ? EvaluateWdptMaximal(tree, db, limits)
-             : EvaluateWdpt(tree, db, limits);
 }
 
 Result<std::vector<Mapping>> Engine::Enumerate(
@@ -344,9 +326,11 @@ Result<std::vector<Mapping>> Engine::Enumerate(
   }
   if (options.trace != nullptr) {
     // Enumeration itself needs no plan; resolve the (cached) plan only to
-    // stamp the tractability class on the trace. Failure leaves the class
-    // unknown and never fails the enumeration.
-    (void)GetPlan(tree, PlanOptions{}, options.trace);
+    // stamp the tractability class on the trace. The class depends on the
+    // call's width bound; the algorithm is Eval-only and stays kAuto.
+    // Failure leaves the class unknown and never fails the enumeration.
+    PlanOptions plan_options{options.width_bound, EvalAlgorithm::kAuto};
+    (void)GetPlan(tree, plan_options, options.trace);
   }
   CancelToken token = EffectiveToken(options.cancel, options.deadline);
   Status token_status = StatusFromToken(token);
@@ -355,9 +339,8 @@ Result<std::vector<Mapping>> Engine::Enumerate(
     return token_status;
   }
   Clock::time_point start = Clock::now();
-  Result<std::vector<Mapping>> result = EnumerateThroughCache(
-      tree, options, token,
-      [&] { return EnumerateCore(tree, db, options, token); });
+  Result<std::vector<Mapping>> result =
+      EnumerateThroughCache(tree, db, options, token);
   uint64_t enumerate_ns = ElapsedNs(start);
   StatsCollector::Bump(stats_.enumerate_ns, enumerate_ns);
   if (options.trace != nullptr) {
@@ -365,151 +348,6 @@ Result<std::vector<Mapping>> Engine::Enumerate(
   }
   if (!result.ok()) NoteStatus(result.status());
   return result;
-}
-
-Result<std::vector<Mapping>> Engine::EnumerateShardedCore(
-    const PatternTree& tree, const ShardedDatabase& db, size_t seed_index,
-    const CallOptions& options, const CancelToken& token) {
-  if (options.trace != nullptr) {
-    options.trace->set_shard_fanout(static_cast<uint32_t>(db.num_shards()));
-  }
-  EnumerationLimits limits = options.limits;
-  limits.cancel = token;
-  // Shard tasks only ever read the databases once the lazy per-column
-  // indexes exist; WarmColumnIndexes covers the full view and every
-  // shard.
-  db.WarmColumnIndexes();
-
-  const std::vector<Atom> seed_atoms{
-      tree.label(PatternTree::kRoot)[seed_index]};
-  const size_t n = db.num_shards();
-  std::vector<std::vector<Mapping>> shard_answers(n);
-  std::vector<Status> statuses(n, Status::Ok());
-  std::vector<uint64_t> shard_ns(n, 0);
-  BatchLatch latch(n);
-
-  for (size_t s = 0; s < n; ++s) {
-    pool_.Submit([&tree, &db, &seed_atoms, limits, &shard_answers,
-                  &statuses, &shard_ns, &latch, s] {
-      Clock::time_point task_start = Clock::now();
-      // Scatter: seeds are the matches of the seed atom within this
-      // shard alone. Each fact lives in exactly one shard, so the
-      // per-shard seed sets partition the root homomorphisms.
-      std::vector<Mapping> seeds;
-      HomSearchLimits hom_limits;
-      hom_limits.cancel = limits.cancel;
-      bool complete = ForEachHomomorphism(
-          seed_atoms, db.shard(s), Mapping(),
-          [&seeds](const Mapping& m) {
-            seeds.push_back(m);
-            return true;
-          },
-          hom_limits);
-      if (!complete) {
-        statuses[s] = StatusFromToken(limits.cancel);
-        if (statuses[s].ok()) {
-          statuses[s] = Status::Internal("sharded seed scan aborted");
-        }
-      } else {
-        // Complete each seed against the FULL view: cross-shard joins
-        // and the maximality condition need the whole database.
-        Result<std::vector<Mapping>> part =
-            EvaluateWdptProjectedSeeded(tree, db.full(), seeds, limits);
-        if (part.ok()) {
-          shard_answers[s] = std::move(*part);
-        } else {
-          statuses[s] = part.status();
-        }
-      }
-      shard_ns[s] = ElapsedNs(task_start);
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
-  StatsCollector::Bump(stats_.shard_tasks, n);
-  if (options.trace != nullptr) {
-    for (uint64_t ns : shard_ns) options.trace->RecordShard(ns);
-  }
-  // Deterministic error reporting: first failure in shard order wins,
-  // and a failed gather yields no partial answers.
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-
-  // Gather: union with dedup (distinct root seeds can project to the
-  // same answer), then the canonical sort shared with the unsharded
-  // path.
-  std::unordered_set<Mapping, MappingHash> seen;
-  std::vector<Mapping> answers;
-  for (std::vector<Mapping>& part : shard_answers) {
-    for (Mapping& m : part) {
-      if (seen.insert(m).second) answers.push_back(std::move(m));
-    }
-  }
-  std::sort(answers.begin(), answers.end());
-  // p_m(D) is a global property of p(D), so maximality is filtered after
-  // the union — matching EvaluateWdptMaximal on the full view.
-  if (options.semantics == EvalSemantics::kMaximal) {
-    answers = MaximalMappings(answers);
-  }
-  return answers;
-}
-
-Result<std::vector<Mapping>> Engine::Enumerate(
-    const PatternTree& tree, const ShardedDatabase& db,
-    const CallOptions& options) {
-  StatsCollector::Bump(stats_.sharded_enumerate_calls);
-  size_t seed_index = 0;
-  if (db.num_shards() <= 1 || !tree.validated() ||
-      !PickSeedAtom(tree, db.full(), &seed_index)) {
-    StatsCollector::Bump(stats_.sharded_fallbacks);
-    return Enumerate(tree, db.full(), options);
-  }
-  if (options.semantics == EvalSemantics::kPartial) {
-    return Status::InvalidArgument(
-        "Enumerate: kPartial is a membership-only semantics; use Eval with "
-        "a candidate");
-  }
-
-  StatsCollector::Bump(stats_.enumerate_calls);
-  if (options.trace != nullptr) {
-    (void)GetPlan(tree, PlanOptions{}, options.trace);
-  }
-  CancelToken token = EffectiveToken(options.cancel, options.deadline);
-  Status token_status = StatusFromToken(token);
-  if (!token_status.ok()) {
-    NoteStatus(token_status);
-    return token_status;
-  }
-  Clock::time_point start = Clock::now();
-  // The sharded path shares the unsharded path's cache key: its answers
-  // are bit-identical, so whichever path fills the entry first serves
-  // both.
-  Result<std::vector<Mapping>> result = EnumerateThroughCache(
-      tree, options, token, [&] {
-        return EnumerateShardedCore(tree, db, seed_index, options, token);
-      });
-  uint64_t enumerate_ns = ElapsedNs(start);
-  StatsCollector::Bump(stats_.enumerate_ns, enumerate_ns);
-  if (options.trace != nullptr) {
-    options.trace->Record(TraceStage::kEval, enumerate_ns);
-  }
-  if (!result.ok()) NoteStatus(result.status());
-  return result;
-}
-
-Result<bool> Engine::Eval(const PatternTree& tree,
-                          const ShardedDatabase& db, const Mapping& h,
-                          const CallOptions& options) {
-  StatsCollector::Bump(stats_.sharded_fallbacks);
-  return Eval(tree, db.full(), h, options);
-}
-
-Result<std::vector<bool>> Engine::EvalBatch(
-    const PatternTree& tree, const ShardedDatabase& db,
-    const std::vector<Mapping>& hs, const CallOptions& options) {
-  StatsCollector::Bump(stats_.sharded_fallbacks);
-  return EvalBatch(tree, db.full(), hs, options);
 }
 
 EngineStats Engine::stats() const {

@@ -11,14 +11,13 @@
 // deadlines / cooperative cancellation end to end: when a deadline
 // expires the engine returns kDeadlineExceeded — never a partial answer.
 //
-// Plans (classification + decomposition) are cached per canonical tree;
-// see plan.h and docs/ENGINE.md for the lifecycle.
+// Plans (tree + classification + resolved algorithm) are cached per
+// canonical tree; see plan.h and docs/ENGINE.md for the lifecycle.
 
 #ifndef WDPT_SRC_ENGINE_ENGINE_H_
 #define WDPT_SRC_ENGINE_ENGINE_H_
 
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -33,7 +32,6 @@
 #include "src/engine/thread_pool.h"
 #include "src/relational/database.h"
 #include "src/relational/mapping.h"
-#include "src/relational/sharded.h"
 #include "src/wdpt/enumerate.h"
 #include "src/wdpt/pattern_tree.h"
 
@@ -47,7 +45,7 @@ enum class EvalSemantics {
 };
 
 /// The one per-call option surface, accepted by every Engine entry
-/// point (Eval, EvalBatch, Enumerate, and their sharded overloads).
+/// point (Eval, EvalBatch, Enumerate).
 /// Replaces the former EvalOptions / EnumerateOptions pair and the raw
 /// EnumerationLimits plumbing; fields irrelevant to a given call are
 /// simply ignored (e.g. `limits` by Eval, `algorithm` by Enumerate).
@@ -60,7 +58,8 @@ struct CallOptions {
   /// semantics have a single algorithm each; this field only steers
   /// kStandard. Eval-only.
   EvalAlgorithm algorithm = EvalAlgorithm::kAuto;
-  /// Treewidth bound for classification / decomposition (cache-key part).
+  /// Treewidth bound for classification (plan-cache key part). Enumerate
+  /// uses it too, for the tractability class it stamps on the trace.
   int width_bound = 1;
   /// Options forwarded to the CQ evaluation substrate (strategy etc.).
   /// Its `cancel` field is overwritten by the engine's effective token.
@@ -120,42 +119,12 @@ class Engine {
 
   /// p(D) (or p_m(D) with options.semantics == kMaximal) via the
   /// projection-aware enumerator, with engine-level deadline /
-  /// cancellation handling. Answers come back in the canonical sorted
-  /// order (Mapping's operator<), identical across the sharded and
-  /// unsharded paths.
+  /// cancellation handling: a token that fires at any point of the call,
+  /// the maximality filter included, yields its status, never a partial
+  /// answer. Answers come back in the canonical sorted order (Mapping's
+  /// operator<).
   Result<std::vector<Mapping>> Enumerate(
       const PatternTree& tree, const Database& db,
-      const CallOptions& options = CallOptions());
-
-  /// Scatter-gather enumeration over a sharded database: one root-label
-  /// seed atom is matched per shard in parallel on the engine pool, each
-  /// seed match is completed against the retained full view (cross-shard
-  /// joins and the maximality condition need the whole database), and
-  /// the shard-local answer sets are merged with deduplication into the
-  /// same canonical order the unsharded path returns — the two paths are
-  /// bit-identical (asserted in tests/sharded_test.cpp). Falls back to
-  /// the full view when the partitioning cannot help soundly: a single
-  /// shard, an unvalidated tree, or a root label with no partitionable
-  /// atom (empty, or only nullary relations). Each shard task gets its
-  /// own copy of options.limits. Must not be called from within an
-  /// engine pool task (the gather barrier would deadlock the pool).
-  Result<std::vector<Mapping>> Enumerate(
-      const PatternTree& tree, const ShardedDatabase& db,
-      const CallOptions& options = CallOptions());
-
-  /// EVAL over a sharded database. A candidate check is one global
-  /// homomorphism problem — its joins cross shard boundaries — so this
-  /// routes to the full view unchanged (counted as a sharded fallback).
-  /// Provided so holders of a ShardedDatabase need no second handle.
-  Result<bool> Eval(const PatternTree& tree, const ShardedDatabase& db,
-                    const Mapping& h,
-                    const CallOptions& options = CallOptions());
-
-  /// EvalBatch over a sharded database: routes to the full view (the
-  /// batch already parallelizes across candidates; see Eval above).
-  Result<std::vector<bool>> EvalBatch(
-      const PatternTree& tree, const ShardedDatabase& db,
-      const std::vector<Mapping>& hs,
       const CallOptions& options = CallOptions());
 
   /// The cached (or freshly built) plan for a tree. Exposed for the CLI's
@@ -203,24 +172,18 @@ class Engine {
                                 const Mapping& h, const CallOptions& options,
                                 const CancelToken& token, Trace* trace);
 
-  /// The uncached enumeration core: p(D) / p_m(D) on the full view.
+  /// The uncached enumeration core: p(D) / p_m(D) with `token`
+  /// installed in the limits; converts a fired token into its status.
   Result<std::vector<Mapping>> EnumerateCore(const PatternTree& tree,
                                              const Database& db,
                                              const CallOptions& options,
                                              const CancelToken& token);
 
-  /// The uncached sharded scatter-gather core. `seed_atom` was already
-  /// chosen by the caller (fallback decided there).
-  Result<std::vector<Mapping>> EnumerateShardedCore(
-      const PatternTree& tree, const ShardedDatabase& db, size_t seed_atom,
-      const CallOptions& options, const CancelToken& token);
-
-  /// Runs `evaluate` through the answer cache with single-flight
+  /// EnumerateCore through the answer cache with single-flight
   /// collapsing, or directly when the cache does not participate.
   Result<std::vector<Mapping>> EnumerateThroughCache(
-      const PatternTree& tree, const CallOptions& options,
-      const CancelToken& token,
-      const std::function<Result<std::vector<Mapping>>()>& evaluate);
+      const PatternTree& tree, const Database& db,
+      const CallOptions& options, const CancelToken& token);
 
   /// Records a terminal status in the early-termination counters.
   void NoteStatus(const Status& status);

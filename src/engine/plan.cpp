@@ -59,16 +59,6 @@ Result<std::shared_ptr<const Plan>> Plan::Build(const PatternTree& tree,
         "projection-free algorithm requested for a tree with projection");
   }
   plan->algorithm_ = algorithm;
-
-  if (classification->locally_tw_k) {
-    Result<GlobalDecomposition> decomposition =
-        BuildGlobalTreeDecomposition(tree, options.width_bound);
-    // A failure here is not fatal to the plan: the decomposition is an
-    // optimization artifact (e.g. >64-variable labels fall back).
-    if (decomposition.ok()) {
-      plan->decomposition_ = std::move(*decomposition);
-    }
-  }
   return std::shared_ptr<const Plan>(std::move(plan));
 }
 

@@ -1,10 +1,10 @@
 // Evaluation plans: the cached, immutable result of analysing one WDPT.
 //
 // Classifying a pattern tree (per-node treewidth, global width, interface
-// width, projection-freeness) and building its global tree decomposition
-// are the expensive structural steps of the paper's algorithms — and they
-// depend only on the tree, not on the database or candidate mapping. A
-// Plan runs them once; the Engine caches plans in an LRU keyed by the
+// width, projection-freeness) is the expensive structural step of the
+// paper's algorithms — and it depends only on the tree, not on the
+// database or candidate mapping. A Plan runs it once, together with the
+// algorithm choice it implies; the Engine caches plans in an LRU keyed by the
 // canonical serialization of the tree plus the plan options, so repeated
 // queries (the common case under load) skip straight to evaluation.
 //
@@ -17,14 +17,12 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "src/common/status.h"
 #include "src/common/trace.h"
 #include "src/wdpt/classify.h"
-#include "src/wdpt/decomposition.h"
 #include "src/wdpt/pattern_tree.h"
 
 namespace wdpt {
@@ -44,7 +42,7 @@ const char* EvalAlgorithmName(EvalAlgorithm a);
 
 /// Inputs of plan construction (part of the cache key).
 struct PlanOptions {
-  /// Treewidth bound used by classification and decomposition building.
+  /// Treewidth bound used by classification.
   int width_bound = 1;
   /// Algorithm request; kAuto lets the classification decide.
   EvalAlgorithm algorithm = EvalAlgorithm::kAuto;
@@ -75,13 +73,6 @@ class Plan {
   /// width bound) use the DP, everything else falls back to kNaive.
   EvalAlgorithm algorithm() const { return algorithm_; }
 
-  /// The Proposition 2 global tree decomposition, when the tree is
-  /// locally within the width bound (nullopt otherwise). Cached here so
-  /// decomposition-strategy CQ evaluation need not rebuild it per query.
-  const std::optional<GlobalDecomposition>& decomposition() const {
-    return decomposition_;
-  }
-
  private:
   Plan() = default;
 
@@ -89,7 +80,6 @@ class Plan {
   PlanOptions options_;
   WdptClassification classification_;
   EvalAlgorithm algorithm_ = EvalAlgorithm::kNaive;
-  std::optional<GlobalDecomposition> decomposition_;
 };
 
 /// Appends the canonical byte-exact serialization of the tree's

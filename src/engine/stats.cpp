@@ -24,9 +24,6 @@ std::string EngineStats::ToString() const {
   out += "batch calls:         " + std::to_string(batch_calls) + " (" +
          std::to_string(batch_tasks) + " tasks)\n";
   out += "enumerate calls:     " + std::to_string(enumerate_calls) + "\n";
-  out += "sharded enumerates:  " + std::to_string(sharded_enumerate_calls) +
-         " (" + std::to_string(shard_tasks) + " shard tasks, " +
-         std::to_string(sharded_fallbacks) + " fallbacks)\n";
   out += "answer cache:        " + std::to_string(answer_cache_hits) +
          " hits, " + std::to_string(answer_cache_misses) + " misses, " +
          std::to_string(answer_cache_bypasses) + " bypasses\n";
@@ -67,9 +64,6 @@ std::string EngineStats::ToJson() const {
   field("batch_calls", batch_calls);
   field("batch_tasks", batch_tasks);
   field("enumerate_calls", enumerate_calls);
-  field("sharded_enumerate_calls", sharded_enumerate_calls);
-  field("sharded_fallbacks", sharded_fallbacks);
-  field("shard_tasks", shard_tasks);
   field("answer_cache_hits", answer_cache_hits);
   field("answer_cache_misses", answer_cache_misses);
   field("answer_cache_bypasses", answer_cache_bypasses);

@@ -43,11 +43,6 @@ struct EngineStats {
   uint64_t batch_tasks = 0;       ///< Mappings fanned out across batches.
   uint64_t enumerate_calls = 0;   ///< Enumerate invocations.
 
-  // Scatter-gather over sharded snapshots.
-  uint64_t sharded_enumerate_calls = 0;  ///< Enumerate over a ShardedDatabase.
-  uint64_t sharded_fallbacks = 0;  ///< Sharded calls served by the full view.
-  uint64_t shard_tasks = 0;        ///< Per-shard scatter tasks executed.
-
   // Answer cache (src/engine/answer_cache.h); all zero when the engine
   // has no cache configured. Filled by Engine::stats() from the cache's
   // own counters, not accumulated in StatsCollector.
@@ -107,9 +102,6 @@ class StatsCollector {
     batch_calls.store(0, std::memory_order_relaxed);
     batch_tasks.store(0, std::memory_order_relaxed);
     enumerate_calls.store(0, std::memory_order_relaxed);
-    sharded_enumerate_calls.store(0, std::memory_order_relaxed);
-    sharded_fallbacks.store(0, std::memory_order_relaxed);
-    shard_tasks.store(0, std::memory_order_relaxed);
     deadline_exceeded.store(0, std::memory_order_relaxed);
     cancelled.store(0, std::memory_order_relaxed);
     eval_ns.store(0, std::memory_order_relaxed);
@@ -156,10 +148,6 @@ class StatsCollector {
     s.batch_calls = batch_calls.load(std::memory_order_relaxed);
     s.batch_tasks = batch_tasks.load(std::memory_order_relaxed);
     s.enumerate_calls = enumerate_calls.load(std::memory_order_relaxed);
-    s.sharded_enumerate_calls =
-        sharded_enumerate_calls.load(std::memory_order_relaxed);
-    s.sharded_fallbacks = sharded_fallbacks.load(std::memory_order_relaxed);
-    s.shard_tasks = shard_tasks.load(std::memory_order_relaxed);
     s.deadline_exceeded = deadline_exceeded.load(std::memory_order_relaxed);
     s.cancelled = cancelled.load(std::memory_order_relaxed);
     s.homomorphism_calls =
@@ -182,9 +170,6 @@ class StatsCollector {
   std::atomic<uint64_t> batch_calls{0};
   std::atomic<uint64_t> batch_tasks{0};
   std::atomic<uint64_t> enumerate_calls{0};
-  std::atomic<uint64_t> sharded_enumerate_calls{0};
-  std::atomic<uint64_t> sharded_fallbacks{0};
-  std::atomic<uint64_t> shard_tasks{0};
   std::atomic<uint64_t> deadline_exceeded{0};
   std::atomic<uint64_t> cancelled{0};
   std::atomic<uint64_t> eval_ns{0};

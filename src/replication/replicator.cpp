@@ -171,7 +171,7 @@ Result<server::Response> Replicator::RoundTrip(const server::Request& request) {
 Result<std::shared_ptr<const server::Snapshot>> Replicator::PublishState() {
   uint64_t version = (epoch_.load() << 32) | applied_seq_.load();
   Result<std::shared_ptr<const server::Snapshot>> snapshot =
-      server::MakeSnapshot(state_->ctx, state_->db, version, options_.shards);
+      server::MakeSnapshot(state_->ctx, state_->db, version);
   if (!snapshot.ok()) return snapshot.status();
   if (publish_) publish_(*snapshot);
   return snapshot;

@@ -60,9 +60,6 @@ namespace wdpt::replication {
 struct ReplicatorOptions {
   std::string primary_host = "127.0.0.1";
   uint16_t primary_port = 0;
-  /// Shard count for republished snapshots (the replica's own
-  /// scatter-gather width; independent of the primary's).
-  size_t shards = 1;
   uint32_t max_frame_bytes = server::kDefaultMaxFrameBytes;
   /// Connect/send bounds and the backoff schedule. max_attempts bounds
   /// the *bootstrap* only; once streaming, resyncs retry until Stop.

@@ -47,10 +47,6 @@ std::string PerRequestStatsJson(const Response& response,
   json += std::to_string(trace.span_ns(TraceStage::kEval));
   json += ",\"serialize_ns\":";
   json += std::to_string(trace.span_ns(TraceStage::kSerialize));
-  json += ",\"shard_fanout\":";
-  json += std::to_string(trace.shard_fanout());
-  json += ",\"shard_max_ns\":";
-  json += std::to_string(trace.MaxShardNs());
   json += "}";
   return json;
 }
@@ -111,12 +107,8 @@ Response ExecuteQuery(Engine* engine, const Snapshot& snapshot,
     options.cancel = token;
     options.trace = trace;
     options.cache.generation = snapshot.version;
-    // A sharded snapshot routes enumeration through scatter-gather;
-    // answers are bit-identical to the unsharded path (engine.h).
     Result<std::vector<Mapping>> answers =
-        snapshot.sharded != nullptr
-            ? engine->Enumerate(compiled->tree, *snapshot.sharded, options)
-            : engine->Enumerate(compiled->tree, snapshot.db, options);
+        engine->Enumerate(compiled->tree, snapshot.db, options);
     if (answers.ok()) {
       Trace::Span span(trace, TraceStage::kSerialize);
       size_t keep = answers->size();

@@ -40,23 +40,13 @@ void AppendGauge(std::string* out, const char* family, uint64_t value) {
   *out += '\n';
 }
 
-// Histogram recorded values are nanoseconds by default; kUnitless keeps
-// bucket bounds and sums as raw integers (e.g. the shard fan-out).
-enum class HistogramUnit { kSeconds, kUnitless };
-
 // One histogram series in exposition order: cumulative non-empty
-// buckets, the +Inf bucket, then _sum and _count. `labels` may be
-// empty (an unlabelled family).
+// buckets, the +Inf bucket, then _sum and _count, with nanosecond
+// values rendered as seconds. `labels` may be empty (an unlabelled
+// family).
 void AppendHistogramSeries(std::string* out, const char* family,
                            const std::string& labels,
-                           const metrics::HistogramSnapshot& snap,
-                           HistogramUnit unit = HistogramUnit::kSeconds) {
-  auto value = [unit](double v) {
-    if (unit == HistogramUnit::kSeconds) return Seconds(v);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return std::string(buf);
-  };
+                           const metrics::HistogramSnapshot& snap) {
   auto open_labels = [&labels](std::string* o, const char* trailing) {
     *o += '{';
     if (!labels.empty()) {
@@ -72,7 +62,7 @@ void AppendHistogramSeries(std::string* out, const char* family,
     *out += family;
     *out += "_bucket";
     open_labels(out, "le=\"");
-    *out += value(static_cast<double>(
+    *out += Seconds(static_cast<double>(
         metrics::LatencyHistogram::BucketUpperBound(i)));
     *out += "\"} ";
     *out += std::to_string(cumulative);
@@ -91,7 +81,7 @@ void AppendHistogramSeries(std::string* out, const char* family,
     *out += '}';
   }
   *out += ' ';
-  *out += value(static_cast<double>(snap.sum));
+  *out += Seconds(static_cast<double>(snap.sum));
   *out += '\n';
   *out += family;
   *out += "_count";
@@ -142,10 +132,6 @@ void RequestMetrics::RecordQuery(const Trace& trace, sparql::RequestMode mode,
     uint64_t ns = trace.span_ns(static_cast<TraceStage>(s));
     if (m < kRequestModeCount) stage_mode_[s][m].Record(ns);
     if (c < kTractabilityClassCount) stage_class_[s][c].Record(ns);
-  }
-  if (trace.shard_fanout() > 0) {
-    shard_fanout_.Record(trace.shard_fanout());
-    for (uint64_t ns : trace.shard_spans_ns()) shard_eval_.Record(ns);
   }
   size_t outcome = static_cast<size_t>(trace.cache_outcome());
   if (outcome < kCacheOutcomeCount) cache_wall_[outcome].Record(trace.TotalNs());
@@ -225,11 +211,6 @@ std::string RequestMetrics::RenderPrometheus(
   AppendCounter(&out, "wdpt_engine_eval_calls_total", engine.eval_calls);
   AppendCounter(&out, "wdpt_engine_enumerate_calls_total",
                 engine.enumerate_calls);
-  AppendCounter(&out, "wdpt_engine_sharded_enumerate_calls_total",
-                engine.sharded_enumerate_calls);
-  AppendCounter(&out, "wdpt_engine_sharded_fallbacks_total",
-                engine.sharded_fallbacks);
-  AppendCounter(&out, "wdpt_engine_shard_tasks_total", engine.shard_tasks);
   AppendCounter(&out, "wdpt_engine_deadline_exceeded_total",
                 engine.deadline_exceeded);
   AppendCounter(&out, "wdpt_engine_cancelled_total", engine.cancelled);
@@ -283,18 +264,6 @@ std::string RequestMetrics::RenderPrometheus(
       AppendHistogramSeries(&out, "wdpt_stage_duration_seconds", labels,
                             stage_mode_[s][m].Snapshot());
     }
-  }
-
-  AppendType(&out, "wdpt_shard_fanout", "histogram");
-  if (shard_fanout_.count() != 0) {
-    AppendHistogramSeries(&out, "wdpt_shard_fanout", "",
-                          shard_fanout_.Snapshot(),
-                          HistogramUnit::kUnitless);
-  }
-  AppendType(&out, "wdpt_shard_eval_duration_seconds", "histogram");
-  if (shard_eval_.count() != 0) {
-    AppendHistogramSeries(&out, "wdpt_shard_eval_duration_seconds", "",
-                          shard_eval_.Snapshot());
   }
 
   AppendType(&out, "wdpt_answer_cache_request_duration_seconds", "histogram");

@@ -60,12 +60,7 @@ class RequestMetrics {
   /// Folds one finished QUERY's trace into the histograms. Records all
   /// stages — zero-length spans land in the first bucket — so every
   /// stage histogram's count equals the number of queries served, which
-  /// is the invariant the METRICS acceptance check rides on. A request
-  /// that ran sharded scatter-gather (trace.shard_fanout() > 0)
-  /// additionally records its fan-out into the `wdpt_shard_fanout`
-  /// histogram and each shard task's wall time into
-  /// `wdpt_shard_eval_duration_seconds`; unsharded requests touch
-  /// neither, so those families count sharded executions only. The
+  /// is the invariant the METRICS acceptance check rides on. The
   /// request's total traced wall time is also recorded into the
   /// `wdpt_answer_cache_request_duration_seconds` family keyed by the
   /// trace's cache outcome, so hit latency can be compared against miss
@@ -113,10 +108,6 @@ class RequestMetrics {
   metrics::LatencyHistogram stage_mode_[kQueryStageCount][kRequestModeCount];
   metrics::LatencyHistogram
       stage_class_[kQueryStageCount][kTractabilityClassCount];
-  /// Shard-task count per sharded request (unitless values, not ns).
-  metrics::LatencyHistogram shard_fanout_;
-  /// Wall time of each individual shard task of sharded requests.
-  metrics::LatencyHistogram shard_eval_;
   /// Total request wall time keyed by answer-cache outcome
   /// (bypass / hit / miss).
   metrics::LatencyHistogram cache_wall_[kCacheOutcomeCount];

@@ -24,23 +24,11 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-// Sharded serving runs shard tasks on the engine's internal pool; a
-// one-thread pool (the unsharded default) would serialize them, so
-// widen it to hardware concurrency unless the caller chose a count.
-EngineOptions ResolveEngineOptions(const ServerOptions& options) {
-  EngineOptions engine = options.engine;
-  if (options.shards > 1 && engine.num_threads == 1) {
-    engine.num_threads = 0;  // 0 = hardware concurrency.
-  }
-  engine.answer_cache_bytes = options.answer_cache_bytes;
-  return engine;
-}
-
 }  // namespace
 
 Server::Server(const ServerOptions& options)
     : options_(options),
-      engine_(ResolveEngineOptions(options)),
+      engine_(options.engine),
       pool_(ResolveWorkers(options.num_workers)),
       admission_(options.admission_capacity == 0 ? 1
                                                  : options.admission_capacity),
@@ -581,10 +569,8 @@ Response Server::HandleReload(const std::string& triples) {
     return r;
   }
   uint64_t version = next_version_.fetch_add(1);
-  // The configured shard count carries across reloads, so per-shard
-  // warmed indexes are rebuilt (never dropped to unsharded) on swap.
   Result<std::shared_ptr<const Snapshot>> snapshot =
-      LoadSnapshot(triples, version, options_.shards);
+      LoadSnapshot(triples, version);
   if (!snapshot.ok()) {
     r.code = snapshot.status().code();
     r.message = snapshot.status().ToString();

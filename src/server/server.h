@@ -89,22 +89,11 @@ struct ServerOptions {
   uint64_t drain_ms = 0;
   /// Sink for slow-query lines; stderr when unset and slow_query_ms > 0.
   std::function<void(const std::string&)> slow_query_log;
-  /// Shard count for every snapshot this server loads via RELOAD
-  /// (start-up snapshots are the caller's: build them with the same
-  /// count). With shards > 1, enumeration requests scatter across the
-  /// engine pool (docs/ENGINE.md, "Sharded evaluation"); 0 and 1 both
-  /// mean unsharded.
-  size_t shards = 1;
-  /// Byte budget for the engine's answer cache (wdpt_server
-  /// --cache-bytes); 0 disables caching. Entries are keyed by snapshot
-  /// version, so RELOAD invalidates by construction.
-  size_t answer_cache_bytes = 0;
   /// Engine construction knobs. The engine's internal batch pool is not
-  /// used on the single-shard serving path, so it defaults to one
-  /// thread; when `shards` > 1 and this is left at the one-thread
-  /// default, the server widens it to hardware concurrency so shard
-  /// tasks actually run in parallel. `answer_cache_bytes` above
-  /// overrides the engine field of the same name.
+  /// used on the serving path, so it defaults to one thread.
+  /// `engine.answer_cache_bytes` (wdpt_server --cache-bytes) is the
+  /// answer-cache byte budget; 0 disables caching. Entries are keyed by
+  /// snapshot version, so RELOAD invalidates by construction.
   EngineOptions engine{1, 128};
 };
 

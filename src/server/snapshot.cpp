@@ -4,8 +4,8 @@
 
 namespace wdpt::server {
 
-Result<std::shared_ptr<const Snapshot>> LoadSnapshot(
-    std::string_view triples, uint64_t version, size_t shards) {
+Result<std::shared_ptr<const Snapshot>> LoadSnapshot(std::string_view triples,
+                                                     uint64_t version) {
   auto snapshot = std::make_shared<Snapshot>();
   Status loaded = sparql::LoadTriples(triples, &snapshot->ctx, &snapshot->db);
   if (!loaded.ok()) return loaded;
@@ -15,19 +15,12 @@ Result<std::shared_ptr<const Snapshot>> LoadSnapshot(
   // and turns any missed warm path into a hard failure instead of a
   // data race under concurrent workers.
   snapshot->db.Freeze();
-  if (shards > 1) {
-    // The ShardedDatabase constructor warms the full view and every
-    // shard, so sharded requests never build an index under traffic.
-    snapshot->sharded =
-        std::make_unique<ShardedDatabase>(snapshot->db, shards);
-  }
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
 
 Result<std::shared_ptr<const Snapshot>> MakeSnapshot(const RdfContext& ctx,
                                                      const Database& db,
-                                                     uint64_t version,
-                                                     size_t shards) {
+                                                     uint64_t version) {
   auto snapshot = std::make_shared<Snapshot>();
   // Copy-assigning the context keeps snapshot->ctx at a stable address,
   // so the cloned database can point at its schema.
@@ -35,10 +28,6 @@ Result<std::shared_ptr<const Snapshot>> MakeSnapshot(const RdfContext& ctx,
   snapshot->db = db.CloneWithSchema(&snapshot->ctx.schema());
   snapshot->version = version;
   snapshot->db.Freeze();
-  if (shards > 1) {
-    snapshot->sharded =
-        std::make_unique<ShardedDatabase>(snapshot->db, shards);
-  }
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
 

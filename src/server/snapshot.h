@@ -27,7 +27,6 @@
 #include "src/common/status.h"
 #include "src/relational/database.h"
 #include "src/relational/rdf.h"
-#include "src/relational/sharded.h"
 
 namespace wdpt::server {
 
@@ -42,36 +41,26 @@ struct Snapshot {
   /// a replaced snapshot can never be served again — invalidation by
   /// construction, no flush needed on RELOAD.
   uint64_t version = 0;
-  /// Hash-partitioned view over `db` for the engine's scatter-gather
-  /// enumeration path; null when the snapshot was built with one shard.
-  /// Built (and its per-shard indexes warmed) at load time, so it is
-  /// preserved — and stays warm — across RELOAD swaps: every reload
-  /// rebuilds it with the same shard count before publication.
-  std::unique_ptr<ShardedDatabase> sharded;
 
   Snapshot() : db(ctx.MakeDatabase()) {}
-  // db holds a pointer into ctx's schema (and sharded points back at
-  // db): pin the whole bundle in place.
+  // db holds a pointer into ctx's schema: pin the pair in place.
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 };
 
 /// Parses whitespace-separated triples (one per line, '#' comments)
-/// into a fresh snapshot and warms every column index. With shards > 1
-/// the snapshot also carries a ShardedDatabase partitioned that many
-/// ways (shards <= 1 leaves Snapshot::sharded null).
-Result<std::shared_ptr<const Snapshot>> LoadSnapshot(
-    std::string_view triples, uint64_t version, size_t shards = 1);
+/// into a fresh snapshot and warms every column index.
+Result<std::shared_ptr<const Snapshot>> LoadSnapshot(std::string_view triples,
+                                                     uint64_t version);
 
 /// Builds a snapshot from an already-materialized (context, database)
 /// pair — the storage layer's publish path: the pair is deep-copied
 /// into the snapshot (the copy's schema pointer rebound to the copied
-/// context), indexes warmed, and shards rebuilt, exactly like a text
-/// load. The source pair stays untouched and mutable.
+/// context) and indexes warmed, exactly like a text load. The source
+/// pair stays untouched and mutable.
 Result<std::shared_ptr<const Snapshot>> MakeSnapshot(const RdfContext& ctx,
                                                      const Database& db,
-                                                     uint64_t version,
-                                                     size_t shards = 1);
+                                                     uint64_t version);
 
 /// Mutex-guarded shared_ptr publication point. Load() hands a reader a
 /// stable reference; Store() replaces it for future readers only.

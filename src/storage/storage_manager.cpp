@@ -166,7 +166,7 @@ Status StorageManager::PublishLocked(Trace* trace) {
   // replica — which keeps answer-cache generations honest cluster-wide.
   uint64_t version = (snapshot_seq_ << 32) | entries_in_epoch_;
   Result<std::shared_ptr<const server::Snapshot>> snapshot =
-      server::MakeSnapshot(ctx_, db_, version, options_.shards);
+      server::MakeSnapshot(ctx_, db_, version);
   if (!snapshot.ok()) return snapshot.status();
   snapshot_.Store(std::move(*snapshot));
   publishes_.fetch_add(1, std::memory_order_relaxed);

@@ -7,14 +7,14 @@
 // loads the snapshot file, replays the WAL over it (truncating any torn
 // tail), and publishes the result; every successful Ingest appends one
 // WAL entry (the ack point), applies the batch, and publishes a fresh
-// immutable server::Snapshot — re-warmed indexes, re-partitioned
-// shards, bumped version/answer-cache generation — through the same
-// SnapshotHolder hot-swap path a RELOAD uses, so readers switch
-// atomically and never see half a batch. Checkpoint() compacts the WAL
-// into snapshot.NNN+1 with write-temp → fsync → rename → fsync-dir
-// ordering: a crash at any point recovers to exactly the acked state
-// (the old snapshot + full WAL, or the new snapshot + whatever the WAL
-// gained since — WAL replay over a checkpoint is idempotent, wal.h).
+// immutable server::Snapshot — re-warmed indexes, bumped version /
+// answer-cache generation — through the same SnapshotHolder hot-swap
+// path a RELOAD uses, so readers switch atomically and never see half a
+// batch. Checkpoint() compacts the WAL into snapshot.NNN+1 with
+// write-temp → fsync → rename → fsync-dir ordering: a crash at any
+// point recovers to exactly the acked state (the old snapshot + full
+// WAL, or the new snapshot + whatever the WAL gained since — WAL replay
+// over a checkpoint is idempotent, wal.h).
 //
 // Writers (Ingest/Checkpoint) serialize on one mutex; readers only
 // touch published snapshots and are never blocked by it. See
@@ -55,8 +55,6 @@ namespace wdpt::storage {
 struct StorageOptions {
   /// Data directory (created if absent).
   std::string dir;
-  /// Shard count for every published snapshot (server::Snapshot).
-  size_t shards = 1;
   /// fdatasync the WAL on every append: acked ingests then survive
   /// power loss, not just a killed process (wdpt_server --fsync).
   bool fsync_wal = false;

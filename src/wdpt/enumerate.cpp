@@ -143,43 +143,19 @@ namespace {
 // Projection-aware evaluator: per subtree, completions are represented
 // only by their free-variable projections, deduplicated eagerly, and
 // memoized on the node's parent-interface assignment.
-//
-// With `root_seeds` attached, the root search runs once per seed with
-// the seed pre-bound (the scatter side of the engine's sharded path);
-// the per-seed completion sets are merged with deduplication.
 class ProjectedEvaluator {
  public:
   ProjectedEvaluator(const PatternTree& tree, const Database& db,
-                     const EnumerationLimits& limits,
-                     const std::vector<Mapping>* root_seeds = nullptr)
-      : tree_(tree),
-        db_(db),
-        limits_(limits),
-        root_seeds_(root_seeds),
-        memo_(tree.num_nodes()) {}
+                     const EnumerationLimits& limits)
+      : tree_(tree), db_(db), limits_(limits), memo_(tree.num_nodes()) {}
 
   Result<std::vector<Mapping>> Run() {
     std::vector<Mapping> answers;
-    if (root_seeds_ == nullptr) {
-      std::optional<std::vector<Mapping>> root =
-          Completions(PatternTree::kRoot, Mapping());
-      Status terminal = TerminalStatus();
-      if (!terminal.ok()) return terminal;
-      if (root.has_value()) answers = std::move(*root);
-    } else {
-      std::unordered_set<Mapping, MappingHash> merged;
-      for (const Mapping& seed : *root_seeds_) {
-        std::optional<std::vector<Mapping>> part =
-            Completions(PatternTree::kRoot, seed);
-        if (overflow_ || cancelled_) break;
-        if (part.has_value()) {
-          merged.insert(part->begin(), part->end());
-        }
-      }
-      Status terminal = TerminalStatus();
-      if (!terminal.ok()) return terminal;
-      answers.assign(merged.begin(), merged.end());
-    }
+    std::optional<std::vector<Mapping>> root =
+        Completions(PatternTree::kRoot, Mapping());
+    Status terminal = TerminalStatus();
+    if (!terminal.ok()) return terminal;
+    if (root.has_value()) answers = std::move(*root);
     std::sort(answers.begin(), answers.end());
     return answers;
   }
@@ -212,13 +188,7 @@ class ProjectedEvaluator {
   // c matter). nullopt = not enterable.
   std::optional<std::vector<Mapping>> Completions(NodeId c,
                                                   const Mapping& e) {
-    // Children key on their parent interface; the root keys on the full
-    // ancestor assignment — empty unseeded (ParentInterface(kRoot) is
-    // empty), the scatter seed in seeded runs, where it must survive
-    // into the homomorphism search below.
-    Mapping key = c == PatternTree::kRoot
-                      ? e
-                      : e.RestrictTo(tree_.ParentInterface(c));
+    Mapping key = e.RestrictTo(tree_.ParentInterface(c));
     auto& node_memo = memo_[c];
     auto it = node_memo.find(key);
     if (it != node_memo.end()) return it->second;
@@ -275,7 +245,6 @@ class ProjectedEvaluator {
   const PatternTree& tree_;
   const Database& db_;
   EnumerationLimits limits_;
-  const std::vector<Mapping>* root_seeds_;
   std::vector<std::unordered_map<Mapping,
                                  std::optional<std::vector<Mapping>>,
                                  MappingHash>>
@@ -297,17 +266,6 @@ Result<std::vector<Mapping>> EvaluateWdptProjected(
   return evaluator.Run();
 }
 
-Result<std::vector<Mapping>> EvaluateWdptProjectedSeeded(
-    const PatternTree& tree, const Database& db,
-    const std::vector<Mapping>& root_seeds,
-    const EnumerationLimits& limits) {
-  if (!tree.validated()) {
-    return Status::InvalidArgument("pattern tree must be validated");
-  }
-  ProjectedEvaluator evaluator(tree, db, limits, &root_seeds);
-  return evaluator.Run();
-}
-
 Result<std::vector<Mapping>> EvaluateWdpt(const PatternTree& tree,
                                           const Database& db,
                                           const EnumerationLimits& limits) {
@@ -319,12 +277,19 @@ Result<std::vector<Mapping>> EvaluateWdptMaximal(
     const EnumerationLimits& limits) {
   Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db, limits);
   if (!answers.ok()) return answers.status();
-  return MaximalMappings(*answers);
+  std::vector<Mapping> maximal = MaximalMappings(*answers, limits.cancel);
+  Status token_status = StatusFromToken(limits.cancel);
+  if (!token_status.ok()) return token_status;
+  return maximal;
 }
 
-std::vector<Mapping> MaximalMappings(const std::vector<Mapping>& mappings) {
+std::vector<Mapping> MaximalMappings(const std::vector<Mapping>& mappings,
+                                     const CancelToken& cancel) {
   std::vector<Mapping> maximal;
   for (size_t i = 0; i < mappings.size(); ++i) {
+    // Each row scans all rows; poll every 32 rows (a ShouldStop reads
+    // the clock).
+    if (cancel.valid() && (i & 0x1F) == 0 && cancel.ShouldStop()) break;
     bool dominated = false;
     for (size_t j = 0; j < mappings.size() && !dominated; ++j) {
       if (i != j && mappings[i].IsStrictlySubsumedBy(mappings[j])) {

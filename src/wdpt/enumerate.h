@@ -43,10 +43,9 @@ Status ForEachMaximalHomomorphism(
 ///
 /// All answer-set entry points in this header return their answers in
 /// the canonical order (Mapping's lexicographic operator<): any two
-/// evaluation paths over the same instance — projected, full
-/// enumeration, or the engine's sharded scatter-gather — produce
-/// bit-identical vectors, and a truncation to the first K rows is
-/// deterministic.
+/// evaluation paths over the same instance — projected or full
+/// enumeration — produce bit-identical vectors, and a truncation to the
+/// first K rows is deterministic.
 Result<std::vector<Mapping>> EvaluateWdpt(
     const PatternTree& tree, const Database& db,
     const EnumerationLimits& limits = EnumerationLimits());
@@ -70,30 +69,19 @@ Result<std::vector<Mapping>> EvaluateWdptByFullEnumeration(
     const PatternTree& tree, const Database& db,
     const EnumerationLimits& limits = EnumerationLimits());
 
-/// Scatter-gather building block: the subset of p(D) contributed by the
-/// maximal homomorphisms whose root extension is compatible with one of
-/// `root_seeds` (each seed is pre-bound before the root-label search, so
-/// the search only completes it). The engine obtains the seeds by
-/// matching one root-label atom against a single shard
-/// (src/relational/sharded.h); because a fact lives in exactly one
-/// shard, the per-shard seed sets partition the root homomorphisms and
-/// the union of the per-shard results over a partition's seeds equals
-/// EvaluateWdptProjected on the full database. Results are sorted; the
-/// union across shards may still contain duplicates (two root
-/// homomorphisms with different seeds can project to one answer), so
-/// the gather side deduplicates.
-Result<std::vector<Mapping>> EvaluateWdptProjectedSeeded(
-    const PatternTree& tree, const Database& db,
-    const std::vector<Mapping>& root_seeds,
-    const EnumerationLimits& limits = EnumerationLimits());
-
-/// p_m(D): the subsumption-maximal elements of p(D) (Section 3.4).
+/// p_m(D): the subsumption-maximal elements of p(D) (Section 3.4). The
+/// maximality filter polls `limits.cancel` too, so a fired token yields
+/// its status at any point of the call.
 Result<std::vector<Mapping>> EvaluateWdptMaximal(
     const PatternTree& tree, const Database& db,
     const EnumerationLimits& limits = EnumerationLimits());
 
-/// Filters the subsumption-maximal mappings out of `mappings`.
-std::vector<Mapping> MaximalMappings(const std::vector<Mapping>& mappings);
+/// Filters the subsumption-maximal mappings out of `mappings`. Polls
+/// `cancel` every few dozen rows and stops early once it fires; the
+/// result is then incomplete, so a caller passing a token must check it
+/// afterwards (EvaluateWdptMaximal returns the token's status instead).
+std::vector<Mapping> MaximalMappings(const std::vector<Mapping>& mappings,
+                                     const CancelToken& cancel = CancelToken());
 
 }  // namespace wdpt
 

@@ -378,7 +378,7 @@ std::shared_ptr<const server::Snapshot> MustLoad(std::string_view triples,
 
 std::unique_ptr<server::Server> StartCachingServer(std::string_view triples) {
   server::ServerOptions options;
-  options.answer_cache_bytes = 1 << 20;
+  options.engine.answer_cache_bytes = 1 << 20;
   auto srv = std::make_unique<server::Server>(options);
   WDPT_CHECK(srv->Start(MustLoad(triples, 1)).ok());
   return srv;

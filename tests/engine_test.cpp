@@ -1,7 +1,9 @@
 // Tests for the wdpt::Engine: batched evaluation agrees bit-for-bit
-// with sequential evaluation (Figure 1 and randomized instances), the
-// plan cache hits on repeated queries, and deadlines/cancellation
-// produce kDeadlineExceeded/kCancelled — never a partial answer.
+// with sequential evaluation (Figure 1 and randomized instances),
+// enumeration agrees with the full-enumeration reference on hostile
+// query families, the plan cache hits on repeated queries, and
+// deadlines/cancellation produce kDeadlineExceeded/kCancelled — never a
+// partial answer, the p_m(D) maximality filter included.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 
 #include "src/engine/engine.h"
 #include "src/gen/db_gen.h"
+#include "src/gen/reductions.h"
 #include "src/gen/wdpt_gen.h"
 #include "src/relational/rdf.h"
 #include "src/wdpt/enumerate.h"
@@ -218,6 +221,49 @@ TEST(EngineDeadline, ExpiredDeadlineIsDeadlineExceededNotAPartialAnswer) {
   EXPECT_GE(engine.stats().deadline_exceeded, 2u);
 }
 
+TEST(EngineDeadline, MaximalEnumerationStopsInsideTheMaximalityFilter) {
+  // p_m(D) first computes p(D), then filters it for maximality; on this
+  // catalog the filter dominates. Measure unbounded p(D) time P and
+  // p_m(D) time T, then give p_m(D) a deadline a quarter of the way
+  // into the filter: the call must stop near it, well before it could
+  // have finished. The bounds are relative, so they hold under
+  // sanitizers too.
+  RdfContext ctx;
+  gen::MusicCatalogOptions catalog;
+  catalog.num_bands = 2000;
+  Database db = gen::MakeMusicCatalog(&ctx, catalog);
+  db.Freeze();
+  PatternTree tree = MakeFigure1Tree(&ctx);
+  Engine engine;
+  CallOptions standard;
+  CallOptions maximal;
+  maximal.semantics = EvalSemantics::kMaximal;
+
+  using Clock = std::chrono::steady_clock;
+  auto timed = [&](const CallOptions& options,
+                   Result<std::vector<Mapping>>* result) {
+    Clock::time_point start = Clock::now();
+    *result = engine.Enumerate(tree, db, options);
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+        Clock::now() - start);
+  };
+  Result<std::vector<Mapping>> answers = engine.Enumerate(tree, db);
+  ASSERT_TRUE(answers.ok());  // Warm-up.
+  std::chrono::nanoseconds p = timed(standard, &answers);
+  ASSERT_TRUE(answers.ok());
+  std::chrono::nanoseconds t = timed(maximal, &answers);
+  ASSERT_TRUE(answers.ok());
+  ASSERT_GT(t, p);
+
+  maximal.deadline = p + (t - p) / 4;
+  std::chrono::nanoseconds elapsed = timed(maximal, &answers);
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(elapsed, p + (t - p) / 2)
+      << "P=" << p.count() << "ns T=" << t.count() << "ns";
+  EXPECT_EQ(engine.stats().deadline_exceeded, 1u);
+}
+
 TEST(EngineDeadline, BatchReportsFirstFailureInIndexOrder) {
   RdfContext ctx;
   PatternTree tree = MakeFigure1Tree(&ctx);
@@ -278,6 +324,98 @@ TEST(EngineEnumerate, MatchesDirectEvaluators) {
   ASSERT_TRUE(via_engine_max.ok());
   ASSERT_TRUE(direct_max.ok());
   EXPECT_EQ(*via_engine_max, *direct_max);
+}
+
+// Enumerate under both semantics against the reference evaluators:
+// full maximal-homomorphism enumeration for p(D), and the maximality
+// filter over it for p_m(D).
+void ExpectEnumerateMatchesReference(const PatternTree& tree,
+                                     const Database& db) {
+  Result<std::vector<Mapping>> reference =
+      EvaluateWdptByFullEnumeration(tree, db);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  Engine engine;
+  CallOptions options;
+  Result<std::vector<Mapping>> standard = engine.Enumerate(tree, db, options);
+  ASSERT_TRUE(standard.ok()) << standard.status().ToString();
+  EXPECT_EQ(*standard, *reference);
+  options.semantics = EvalSemantics::kMaximal;
+  Result<std::vector<Mapping>> maximal = engine.Enumerate(tree, db, options);
+  ASSERT_TRUE(maximal.ok()) << maximal.status().ToString();
+  EXPECT_EQ(*maximal, MaximalMappings(*reference));
+}
+
+// Hostile query families through Enumerate, each against the
+// whole-database reference. The suite keeps the names of the
+// scatter-gather differential tests these replaced, so each family's
+// test history survives the deletion of sharded snapshots; "unsharded"
+// now names the reference evaluation.
+
+TEST(ShardedEnumerate, ThreeColReductionMatchesUnsharded) {
+  // Proposition 3 three-colourability reduction: a 3-colourable 5-cycle
+  // (answers exist) and K4 (not 3-colourable). Both instances share one
+  // schema and vocabulary.
+  Schema schema;
+  Vocabulary vocab;
+  gen::ThreeColInstance yes = gen::MakeThreeColInstance(
+      gen::MakeCycleGraph(5), &schema, &vocab, /*tag=*/1);
+  ExpectEnumerateMatchesReference(yes.tree, yes.db);
+  gen::ThreeColInstance no = gen::MakeThreeColInstance(
+      gen::MakeCompleteGraph(4), &schema, &vocab, /*tag=*/2);
+  ExpectEnumerateMatchesReference(no.tree, no.db);
+}
+
+TEST(ShardedEnumerate, RandomChainWdptsMatchUnsharded) {
+  // Random chain WDPTs over random graphs, kept small: full
+  // enumeration grows combinatorially with graph size and tree width.
+  for (uint64_t seed : {11u, 12u, 13u, 14u}) {
+    Schema graph_schema;
+    Vocabulary graph_vocab;
+    gen::RandomGraphOptions graph;
+    graph.num_vertices = 10;
+    graph.num_edges = 18;
+    graph.seed = seed;
+    RelationId edge = 0;
+    Database db =
+        gen::MakeRandomGraphDb(&graph_schema, &graph_vocab, graph, &edge);
+    gen::RandomWdptOptions shape;
+    shape.depth = 2;
+    shape.branching = 1;
+    shape.atoms_per_node = 2;
+    shape.seed = seed;
+    ExpectEnumerateMatchesReference(
+        gen::MakeRandomChainWdpt(&graph_schema, &graph_vocab, shape), db);
+  }
+}
+
+TEST(ShardedEnumerate, Figure1ExampleMatchesUnsharded) {
+  RdfContext ctx;
+  ExpectEnumerateMatchesReference(MakeFigure1Tree(&ctx),
+                                  MakeExample2Db(&ctx));
+}
+
+TEST(ShardedEnumerate, MusicCatalogMatchesUnsharded) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    RdfContext ctx;
+    gen::MusicCatalogOptions options;
+    options.num_bands = 30;
+    options.seed = seed;
+    Database db = gen::MakeMusicCatalog(&ctx, options);
+    ExpectEnumerateMatchesReference(MakeFigure1Tree(&ctx), db);
+  }
+}
+
+TEST(ShardedEnumerate, EmptyDatabaseAndEmptyShards) {
+  RdfContext ctx;
+  PatternTree tree = MakeFigure1Tree(&ctx);
+  ExpectEnumerateMatchesReference(tree, ctx.MakeDatabase());
+
+  // Two facts: the root matches once and neither optional child
+  // extends it.
+  Database tiny = ctx.MakeDatabase();
+  ctx.AddTriple(&tiny, "Swim", "recorded_by", "Caribou");
+  ctx.AddTriple(&tiny, "Swim", "published", "after_2010");
+  ExpectEnumerateMatchesReference(tree, tiny);
 }
 
 TEST(EnginePlan, ForcedProjectionFreeOnProjectingTreeIsAnError) {
@@ -377,6 +515,42 @@ TEST(EngineTrace, EnumerateStampsClassificationWithoutFailing) {
   EXPECT_EQ(untraced->size(), traced->size());  // Tracing never alters rows.
   EXPECT_NE(trace.classification(), TractabilityClass::kUnknown);
   EXPECT_GT(trace.span_ns(TraceStage::kEval), 0u);
+}
+
+TEST(EngineTrace, EnumerateClassifiesUnderTheCallsWidthBound) {
+  // A one-node triangle query has treewidth 2: intractable under the
+  // default width bound 1, globally tractable under width bound 2.
+  RdfContext ctx;
+  PatternTree tree;
+  tree.AddAtom(PatternTree::kRoot, ctx.TriplePattern("?x", "knows", "?y"));
+  tree.AddAtom(PatternTree::kRoot, ctx.TriplePattern("?y", "knows", "?z"));
+  tree.AddAtom(PatternTree::kRoot, ctx.TriplePattern("?z", "knows", "?x"));
+  tree.SetFreeVariables({ctx.vocab().Variable("x").variable_id(),
+                         ctx.vocab().Variable("y").variable_id(),
+                         ctx.vocab().Variable("z").variable_id()});
+  ASSERT_TRUE(tree.Validate().ok());
+  Database db = ctx.MakeDatabase();
+  ctx.AddTriple(&db, "a", "knows", "b");
+  ctx.AddTriple(&db, "b", "knows", "c");
+  ctx.AddTriple(&db, "c", "knows", "a");
+
+  Engine engine;
+  for (int width : {1, 2}) {
+    CallOptions options;
+    options.width_bound = width;
+    Trace eval_trace;
+    options.trace = &eval_trace;
+    ASSERT_TRUE(engine.Eval(tree, db, Mapping(), options).ok());
+    Trace enumerate_trace;
+    options.trace = &enumerate_trace;
+    ASSERT_TRUE(engine.Enumerate(tree, db, options).ok());
+    EXPECT_EQ(enumerate_trace.classification(), eval_trace.classification())
+        << "width " << width;
+    EXPECT_EQ(enumerate_trace.classification(),
+              width == 1 ? TractabilityClass::kIntractable
+                         : TractabilityClass::kGTractable)
+        << "width " << width;
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #      labels, presets, and the METRICS.md metric-family inventory);
 #   2. configure + build + ctest for the default preset, then the asan
 #      and tsan presets (which run the concurrency-sensitive labels:
-#      engine, server, shards, cache, storage, resilience, replication
+#      engine, server, cache, storage, resilience, replication, kernel
 #      — see CMakePresets.json);
 #   3. a seeded single-node `wdpt_loadgen --chaos` smoke run (fault
 #      injection + drain/restart, zero mismatches required; see

@@ -2,21 +2,16 @@
 //
 // Usage:
 //   wdpt_loadgen [--connect HOST:PORT] [--data FILE] [--bands N]
-//                [--clients 1,2,4,8] [--shards 1] [--requests N]
+//                [--clients 1,2,4,8] [--requests N]
 //                [--warmup N] [--deadline-ms N] [--workers N]
 //                [--queue N] [--cache-bytes N] [--cache-bypass]
 //                [--json FILE] [--no-verify] [--max-ping-p50-ms X]
 //                [--chaos] [--chaos-seed N] [--drain-ms N]
 //
 // Drives a fixed query mix from N concurrent client connections and
-// reports throughput and latency percentiles per client count — and,
-// in-process, per snapshot shard count: --shards takes a list like
-// --clients, restarts the server per entry, and adds a `shards` column
-// to every result row, so the sweep shows what scatter-gather
-// enumeration (docs/ENGINE.md) does to the same load. It also reports
-// the server-side queue-wait and eval medians extracted from each
-// the server-side queue-wait and eval medians extracted from each
-// response's per-request stats JSON — so client-observed latency can be
+// reports throughput and latency percentiles per client count. It also
+// reports the server-side queue-wait and eval medians extracted from
+// each response's per-request stats JSON — so client-observed latency can be
 // split into transport, queueing, and evaluation. --warmup N issues N
 // unrecorded requests per client before measurement so cold caches do
 // not skew the percentiles. Without --connect it
@@ -60,7 +55,7 @@
 // reader pinned round-robin to a replica while the primary takes a
 // live INGEST stream. Each response names the snapshot version it was
 // served from; the reader checks its rows bit-identical against local
-// unsharded execution of exactly that cumulative state, so replicas
+// execution of exactly that cumulative state, so replicas
 // may be stale but never wrong. Combined with --chaos the fault
 // injector tears WAL streams, one replica is killed and restarted
 // mid-load, and the primary is drained and restarted mid-stream — the
@@ -97,7 +92,7 @@ using Clock = std::chrono::steady_clock;
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--connect HOST:PORT] [--data FILE] [--bands N] "
-               "[--clients 1,2,4,8] [--shards 1] [--requests N] "
+               "[--clients 1,2,4,8] [--requests N] "
                "[--warmup N] [--deadline-ms N] "
                "[--workers N] [--queue N] [--cache-bytes N] "
                "[--cache-bypass] [--json FILE] [--no-verify] "
@@ -158,7 +153,6 @@ std::vector<server::QueryCall> MakeQueryMix(uint64_t deadline_ms) {
 
 struct RunResult {
   unsigned clients = 0;
-  size_t shards = 1;  ///< Snapshot shard count this row ran against.
   uint64_t requests = 0;
   uint64_t transport_errors = 0;  ///< Framing / connection failures.
   uint64_t status_errors = 0;     ///< Non-OK, non-overloaded statuses.
@@ -355,7 +349,7 @@ int RunChaos(const std::string& triples, unsigned clients,
   server::ServerOptions options;
   options.num_workers = workers;
   options.admission_capacity = queue;
-  options.answer_cache_bytes = cache_bytes;
+  options.engine.answer_cache_bytes = cache_bytes;
   options.drain_ms = drain_ms;
 
   Result<std::shared_ptr<const server::Snapshot>> serving =
@@ -620,8 +614,8 @@ int RunReplicas(const std::string& triples, unsigned replicas,
   };
 
   // Expected answers per cumulative state k (seed + first k batches),
-  // via the same unsharded local execution path every other loadgen
-  // mode verifies against. State k serves as version (1<<32)|k: the
+  // via the same local execution path every other loadgen mode
+  // verifies against. State k serves as version (1<<32)|k: the
   // seed import checkpoints into snapshot 1, and auto-checkpointing is
   // off, so the epoch stays 1 for the whole run (a primary restart
   // replays the WAL and recomputes the identical version).
@@ -711,7 +705,7 @@ int RunReplicas(const std::string& triples, unsigned replicas,
   server::ServerOptions replica_options;
   replica_options.num_workers = workers;
   replica_options.admission_capacity = queue;
-  replica_options.answer_cache_bytes = cache_bytes;
+  replica_options.engine.answer_cache_bytes = cache_bytes;
   auto start_replica = [&](uint16_t port) -> std::unique_ptr<server::Server> {
     replication::ReplicatorOptions ropts;
     ropts.primary_host = "127.0.0.1";
@@ -999,7 +993,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   uint32_t bands = 200;
   std::string clients_list = "1,2,4,8";
-  std::string shards_list = "1";
   uint64_t requests_per_client = 50;
   uint64_t warmup_per_client = 0;
   uint64_t deadline_ms = 0;
@@ -1023,8 +1016,6 @@ int main(int argc, char** argv) {
       bands = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--clients" && i + 1 < argc) {
       clients_list = argv[++i];
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards_list = argv[++i];
     } else if (arg == "--requests" && i + 1 < argc) {
       requests_per_client = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--warmup" && i + 1 < argc) {
@@ -1068,17 +1059,6 @@ int main(int argc, char** argv) {
     }
   }
   if (client_counts.empty()) return Usage(argv[0]);
-
-  std::vector<size_t> shard_counts;
-  {
-    std::stringstream ss(shards_list);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      size_t n = std::strtoull(item.c_str(), nullptr, 10);
-      if (n > 0) shard_counts.push_back(n);
-    }
-  }
-  if (shard_counts.empty()) return Usage(argv[0]);
 
   // Dataset: a file, or the deterministic builtin catalog.
   std::string triples;
@@ -1159,23 +1139,29 @@ int main(int argc, char** argv) {
                     chaos_seed, drain_ms, json_path, facts, dataset_name);
   }
 
-  // Target: external server or in-process. A shard sweep restarts the
-  // in-process server per shard count; an external target cannot be
-  // re-sharded from here.
+  // Target: external server or in-process.
   std::string host = "127.0.0.1";
-  uint16_t external_port = 0;
+  uint16_t port = 0;
+  std::unique_ptr<server::Server> in_process;
   if (!connect.empty()) {
-    if (shard_counts.size() != 1 || shard_counts[0] != 1) {
-      std::fprintf(stderr,
-                   "error: --shards sweeps need the in-process server "
-                   "(drop --connect)\n");
-      return 1;
-    }
     size_t colon = connect.rfind(':');
     if (colon == std::string::npos) return Usage(argv[0]);
     host = connect.substr(0, colon);
-    external_port = static_cast<uint16_t>(
+    port = static_cast<uint16_t>(
         std::strtoul(connect.c_str() + colon + 1, nullptr, 10));
+  } else {
+    server::ServerOptions options;
+    options.num_workers = workers;
+    options.admission_capacity = queue;
+    options.engine.answer_cache_bytes = cache_bytes;
+    in_process = std::make_unique<server::Server>(options);
+    Status started = in_process->Start(*snapshot);
+    if (!started.ok()) {
+      std::fprintf(stderr, "server start error: %s\n",
+                   started.ToString().c_str());
+      return 1;
+    }
+    port = in_process->port();
   }
 
   std::fprintf(stderr,
@@ -1187,93 +1173,53 @@ int main(int argc, char** argv) {
                mix.size());
 
   bool failed = false;
-  double ping_p50_ms = -1;
-  std::vector<RunResult> results;
-  for (size_t shards : shard_counts) {
-    uint16_t port = external_port;
-    std::unique_ptr<server::Server> in_process;
-    if (connect.empty()) {
-      server::ServerOptions options;
-      options.num_workers = workers;
-      options.admission_capacity = queue;
-      options.shards = shards;
-      options.answer_cache_bytes = cache_bytes;
-      // The initial snapshot carries the sweep's shard count; the
-      // verification baseline stays the unsharded snapshot, so every
-      // sharded row is also a differential check against sequential
-      // unsharded evaluation.
-      Result<std::shared_ptr<const server::Snapshot>> serving =
-          server::LoadSnapshot(triples, /*version=*/1, shards);
-      if (!serving.ok()) {
-        std::fprintf(stderr, "data error: %s\n",
-                     serving.status().ToString().c_str());
-        return 1;
-      }
-      in_process = std::make_unique<server::Server>(options);
-      Status started = in_process->Start(std::move(*serving));
-      if (!started.ok()) {
-        std::fprintf(stderr, "server start error: %s\n",
-                     started.ToString().c_str());
-        return 1;
-      }
-      port = in_process->port();
-    }
-
-    if (ping_p50_ms < 0) {
-      ping_p50_ms = MeasurePingP50Ms(host, port, 50);
-      if (ping_p50_ms < 0) {
-        std::fprintf(stderr, "ping probe failed\n");
-        failed = true;
-      } else {
-        std::fprintf(stderr, "ping p50=%sms\n",
-                     FormatDouble(ping_p50_ms).c_str());
-        if (max_ping_p50_ms > 0 && ping_p50_ms > max_ping_p50_ms) {
-          std::fprintf(stderr,
-                       "FAILED: ping p50 %sms exceeds --max-ping-p50-ms "
-                       "%s\n",
-                       FormatDouble(ping_p50_ms).c_str(),
-                       FormatDouble(max_ping_p50_ms).c_str());
-          failed = true;
-        }
-      }
-    }
-
-    for (unsigned clients : client_counts) {
-      RunResult r =
-          RunLoad(host, port, clients, requests_per_client,
-                  warmup_per_client, mix, verify ? &expected : nullptr);
-      r.shards = shards;
+  double ping_p50_ms = MeasurePingP50Ms(host, port, 50);
+  if (ping_p50_ms < 0) {
+    std::fprintf(stderr, "ping probe failed\n");
+    failed = true;
+  } else {
+    std::fprintf(stderr, "ping p50=%sms\n", FormatDouble(ping_p50_ms).c_str());
+    if (max_ping_p50_ms > 0 && ping_p50_ms > max_ping_p50_ms) {
       std::fprintf(stderr,
-                   "shards=%zu clients=%2u requests=%llu rps=%s p50=%sms "
-                   "p90=%sms p99=%sms srv_queue_p50=%sms "
-                   "srv_eval_p50=%sms cache_hit_rate=%s overloaded=%llu "
-                   "transport_errors=%llu status_errors=%llu "
-                   "mismatches=%llu\n",
-                   r.shards, clients,
-                   static_cast<unsigned long long>(r.requests),
-                   FormatDouble(r.throughput_rps).c_str(),
-                   FormatDouble(r.p50_ms).c_str(),
-                   FormatDouble(r.p90_ms).c_str(),
-                   FormatDouble(r.p99_ms).c_str(),
-                   FormatDouble(r.srv_queue_p50_ms).c_str(),
-                   FormatDouble(r.srv_eval_p50_ms).c_str(),
-                   FormatDouble(r.cache_hit_rate).c_str(),
-                   static_cast<unsigned long long>(r.overloaded),
-                   static_cast<unsigned long long>(r.transport_errors),
-                   static_cast<unsigned long long>(r.status_errors),
-                   static_cast<unsigned long long>(r.mismatches));
-      // Any verification mismatch, unexpected status, transport error,
-      // or a run that issued no requests at all makes the process exit
-      // nonzero — CI treats this tool as a differential gate.
-      if (r.transport_errors != 0 || r.status_errors != 0 ||
-          r.mismatches != 0 || r.requests == 0) {
-        failed = true;
-      }
-      results.push_back(r);
+                   "FAILED: ping p50 %sms exceeds --max-ping-p50-ms %s\n",
+                   FormatDouble(ping_p50_ms).c_str(),
+                   FormatDouble(max_ping_p50_ms).c_str());
+      failed = true;
     }
-
-    if (in_process != nullptr) in_process->Stop();
   }
+
+  std::vector<RunResult> results;
+  for (unsigned clients : client_counts) {
+    RunResult r = RunLoad(host, port, clients, requests_per_client,
+                          warmup_per_client, mix, verify ? &expected : nullptr);
+    std::fprintf(stderr,
+                 "clients=%2u requests=%llu rps=%s p50=%sms "
+                 "p90=%sms p99=%sms srv_queue_p50=%sms "
+                 "srv_eval_p50=%sms cache_hit_rate=%s overloaded=%llu "
+                 "transport_errors=%llu status_errors=%llu "
+                 "mismatches=%llu\n",
+                 clients, static_cast<unsigned long long>(r.requests),
+                 FormatDouble(r.throughput_rps).c_str(),
+                 FormatDouble(r.p50_ms).c_str(),
+                 FormatDouble(r.p90_ms).c_str(),
+                 FormatDouble(r.p99_ms).c_str(),
+                 FormatDouble(r.srv_queue_p50_ms).c_str(),
+                 FormatDouble(r.srv_eval_p50_ms).c_str(),
+                 FormatDouble(r.cache_hit_rate).c_str(),
+                 static_cast<unsigned long long>(r.overloaded),
+                 static_cast<unsigned long long>(r.transport_errors),
+                 static_cast<unsigned long long>(r.status_errors),
+                 static_cast<unsigned long long>(r.mismatches));
+    // Any verification mismatch, unexpected status, transport error, or
+    // a run that issued no requests at all makes the process exit
+    // nonzero — CI treats this tool as a differential gate.
+    if (r.transport_errors != 0 || r.status_errors != 0 ||
+        r.mismatches != 0 || r.requests == 0) {
+      failed = true;
+    }
+    results.push_back(r);
+  }
+  if (in_process != nullptr) in_process->Stop();
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
@@ -1294,7 +1240,7 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < results.size(); ++i) {
       const RunResult& r = results[i];
       if (i > 0) out << ",";
-      out << "{\"shards\":" << r.shards << ",\"clients\":" << r.clients
+      out << "{\"clients\":" << r.clients
           << ",\"requests\":" << r.requests
           << ",\"wall_ms\":" << FormatDouble(r.wall_ms)
           << ",\"throughput_rps\":" << FormatDouble(r.throughput_rps)

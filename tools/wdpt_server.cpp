@@ -4,7 +4,7 @@
 // Usage:
 //   wdpt_server (--data FILE | --data-dir DIR [--data FILE])
 //               [--port N] [--workers N] [--queue N]
-//               [--shards N] [--cache-bytes N] [--default-deadline-ms N]
+//               [--cache-bytes N] [--default-deadline-ms N]
 //               [--max-deadline-ms N] [--retry-after-ms N]
 //               [--idle-timeout-ms N] [--slow-query-ms N] [--no-reload]
 //               [--fsync] [--checkpoint-wal-bytes N] [--drain-ms N]
@@ -15,10 +15,7 @@
 // STATS / PING / RELOAD / METRICS / INGEST / CHECKPOINT. The data file
 // holds whitespace-separated triples, one per line, '#' comments — the
 // same format wdpt_query reads. RELOAD swaps in a new dataset under
-// live traffic without pausing readers. --shards N (default 1)
-// hash-partitions each snapshot N ways and serves enumeration requests
-// through the engine's scatter-gather path (docs/ENGINE.md) — answers
-// are identical to the unsharded server. --cache-bytes N (default 0 =
+// live traffic without pausing readers. --cache-bytes N (default 0 =
 // off) gives the engine an answer cache of N bytes: repeated identical
 // queries against the same snapshot are served from memory, reloads
 // and ingests invalidate by construction, and clients can opt out per
@@ -76,7 +73,7 @@ int Usage(const char* argv0) {
                "usage: %s (--data FILE | --data-dir DIR [--data FILE] | "
                "--replica-of HOST:PORT) "
                "[--port N] [--workers N] [--queue N] "
-               "[--shards N] [--cache-bytes N] [--default-deadline-ms N] "
+               "[--cache-bytes N] [--default-deadline-ms N] "
                "[--max-deadline-ms N] [--retry-after-ms N] "
                "[--idle-timeout-ms N] [--slow-query-ms N] [--no-reload] "
                "[--fsync] [--checkpoint-wal-bytes N] [--drain-ms N] "
@@ -147,10 +144,9 @@ int main(int argc, char** argv) {
           static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--queue" && i + 1 < argc) {
       options.admission_capacity = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      options.shards = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--cache-bytes" && i + 1 < argc) {
-      options.answer_cache_bytes = std::strtoull(argv[++i], nullptr, 10);
+      options.engine.answer_cache_bytes =
+          std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--default-deadline-ms" && i + 1 < argc) {
       options.default_deadline_ms = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--max-deadline-ms" && i + 1 < argc) {
@@ -192,7 +188,6 @@ int main(int argc, char** argv) {
                    replica_of.c_str());
       return 2;
     }
-    replica.shards = options.shards;
     replica.max_frame_bytes = options.max_frame_bytes;
     replica.max_lag_batches = max_replica_lag;
     // Bootstrap survives a primary that is still coming up; streaming
@@ -207,7 +202,6 @@ int main(int argc, char** argv) {
     facts = srv.CurrentSnapshot()->db.TotalFacts();
   } else if (!data_dir.empty()) {
     storage_options.dir = data_dir;
-    storage_options.shards = options.shards;
     Result<std::unique_ptr<storage::StorageManager>> manager =
         storage::StorageManager::Open(storage_options);
     if (!manager.ok()) {
@@ -233,8 +227,7 @@ int main(int argc, char** argv) {
     }
   } else {
     Result<std::shared_ptr<const server::Snapshot>> snapshot =
-        server::LoadSnapshot(ReadTriplesFileOrDie(data_path), /*version=*/1,
-                             options.shards);
+        server::LoadSnapshot(ReadTriplesFileOrDie(data_path), /*version=*/1);
     if (!snapshot.ok()) {
       std::fprintf(stderr, "data error: %s\n",
                    snapshot.status().ToString().c_str());
