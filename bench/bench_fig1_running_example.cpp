@@ -2,6 +2,7 @@
 //
 // Series: database size sweep (number of bands). Measured:
 //  * full evaluation p(D) (answer enumeration),
+//  * the maximal answers p_m(D) (enumeration plus maximality filter),
 //  * EVAL membership via the naive algorithm vs the Theorem 6 DP,
 //  * PARTIAL-EVAL and MAX-EVAL (Theorems 8/9).
 // Expected shape: all of these scale polynomially (near-linearly) in
@@ -33,7 +34,8 @@ void BM_Fig1_Enumerate(benchmark::State& state) {
   Fig1Instance inst(static_cast<uint32_t>(state.range(0)));
   size_t answers = 0;
   for (auto _ : state) {
-    Result<std::vector<Mapping>> result = EvaluateWdpt(inst.tree, inst.db);
+    Result<std::vector<Mapping>> result =
+        EvaluateWdptProjected(inst.tree, inst.db);
     WDPT_CHECK(result.ok());
     answers = result->size();
     benchmark::DoNotOptimize(result);
@@ -43,9 +45,26 @@ void BM_Fig1_Enumerate(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig1_Enumerate)->Arg(100)->Arg(400)->Arg(1600)->Arg(6400);
 
+void BM_Fig1_EnumerateMaximal(benchmark::State& state) {
+  Fig1Instance inst(static_cast<uint32_t>(state.range(0)));
+  size_t answers = 0;
+  for (auto _ : state) {
+    Result<std::vector<Mapping>> result =
+        EvaluateWdptMaximal(inst.tree, inst.db);
+    WDPT_CHECK(result.ok());
+    answers = result->size();
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["facts"] = static_cast<double>(inst.db.TotalFacts());
+  state.counters["answers"] = static_cast<double>(answers);
+}
+BENCHMARK(BM_Fig1_EnumerateMaximal)
+    ->Arg(100)->Arg(400)->Arg(1600)->Arg(6400);
+
 void BM_Fig1_EvalNaive(benchmark::State& state) {
   Fig1Instance inst(static_cast<uint32_t>(state.range(0)));
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(inst.tree, inst.db);
+  Result<std::vector<Mapping>> answers =
+      EvaluateWdptProjected(inst.tree, inst.db);
   WDPT_CHECK(answers.ok() && !answers->empty());
   const Mapping& h = (*answers)[answers->size() / 2];
   for (auto _ : state) {
@@ -59,7 +78,8 @@ BENCHMARK(BM_Fig1_EvalNaive)->Arg(100)->Arg(400)->Arg(1600)->Arg(6400);
 
 void BM_Fig1_EvalTractable(benchmark::State& state) {
   Fig1Instance inst(static_cast<uint32_t>(state.range(0)));
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(inst.tree, inst.db);
+  Result<std::vector<Mapping>> answers =
+      EvaluateWdptProjected(inst.tree, inst.db);
   WDPT_CHECK(answers.ok() && !answers->empty());
   const Mapping& h = (*answers)[answers->size() / 2];
   for (auto _ : state) {
@@ -85,7 +105,8 @@ BENCHMARK(BM_Fig1_PartialEval)->Arg(100)->Arg(400)->Arg(1600)->Arg(6400);
 
 void BM_Fig1_MaxEval(benchmark::State& state) {
   Fig1Instance inst(static_cast<uint32_t>(state.range(0)));
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(inst.tree, inst.db);
+  Result<std::vector<Mapping>> answers =
+      EvaluateWdptProjected(inst.tree, inst.db);
   WDPT_CHECK(answers.ok() && !answers->empty());
   const Mapping& h = answers->front();
   for (auto _ : state) {

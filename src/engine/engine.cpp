@@ -269,7 +269,7 @@ Result<std::vector<Mapping>> Engine::EnumerateCore(
   Result<std::vector<Mapping>> result =
       options.semantics == EvalSemantics::kMaximal
           ? EvaluateWdptMaximal(tree, db, limits)
-          : EvaluateWdpt(tree, db, limits);
+          : EvaluateWdptProjected(tree, db, limits);
   // As in EvalWithPlan: a token that fired during the call invalidates
   // whatever the wound-down computation returned.
   Status token_status = StatusFromToken(token);

@@ -23,7 +23,8 @@ Result<std::vector<Mapping>> EvaluateUnion(const UnionWdpt& phi,
   std::unordered_set<Mapping, MappingHash> seen;
   std::vector<Mapping> answers;
   for (const PatternTree& member : phi.members) {
-    Result<std::vector<Mapping>> part = EvaluateWdpt(member, db, limits);
+    Result<std::vector<Mapping>> part =
+        EvaluateWdptProjected(member, db, limits);
     if (!part.ok()) return part.status();
     for (Mapping& m : *part) {
       if (seen.insert(m).second) answers.push_back(std::move(m));

@@ -1,6 +1,7 @@
 #include "src/wdpt/enumerate.h"
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -236,9 +237,17 @@ class ProjectedEvaluator {
         hom_limits);
     std::optional<std::vector<Mapping>> out;
     if (enterable) {
-      out.emplace(results.begin(), results.end());
+      out.emplace();
+      out->reserve(results.size());
+      while (!results.empty()) {
+        out->push_back(std::move(results.extract(results.begin()).value()));
+      }
     }
-    if (!(overflow_ || cancelled_)) node_memo.emplace(std::move(key), out);
+    // The root is completed exactly once, so its entry would be an unread
+    // copy of p(D).
+    if (c != PatternTree::kRoot && !(overflow_ || cancelled_)) {
+      node_memo.emplace(std::move(key), out);
+    }
     return out;
   }
 
@@ -266,16 +275,11 @@ Result<std::vector<Mapping>> EvaluateWdptProjected(
   return evaluator.Run();
 }
 
-Result<std::vector<Mapping>> EvaluateWdpt(const PatternTree& tree,
-                                          const Database& db,
-                                          const EnumerationLimits& limits) {
-  return EvaluateWdptProjected(tree, db, limits);
-}
-
 Result<std::vector<Mapping>> EvaluateWdptMaximal(
     const PatternTree& tree, const Database& db,
     const EnumerationLimits& limits) {
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db, limits);
+  Result<std::vector<Mapping>> answers =
+      EvaluateWdptProjected(tree, db, limits);
   if (!answers.ok()) return answers.status();
   std::vector<Mapping> maximal = MaximalMappings(*answers, limits.cancel);
   Status token_status = StatusFromToken(limits.cancel);
@@ -283,13 +287,63 @@ Result<std::vector<Mapping>> EvaluateWdptMaximal(
   return maximal;
 }
 
+namespace {
+
+// Sets (*keep)[i] for each row that no row strictly subsumes. h is
+// strictly subsumed by h' exactly when dom(h) is a strict subset of
+// dom(h') and h is h' restricted to dom(h). So a row whose domain is X
+// is dominated iff it is among the projections onto X of the rows whose
+// domains strictly contain X: one hash set per distinct domain. Returns
+// early, leaving the undecided rows unset, once `cancel` fires.
+void MarkMaximalRows(const std::vector<Mapping>& mappings,
+                     const CancelToken& cancel, std::vector<bool>* keep) {
+  // Every map or set operation and every domain comparison is a probe;
+  // poll every 32 (a ShouldStop reads the clock).
+  uint64_t probes = 0;
+  auto stop = [&] {
+    return cancel.valid() && (probes++ & 0x1F) == 0 && cancel.ShouldStop();
+  };
+  std::map<std::vector<VariableId>, std::vector<size_t>> groups;
+  for (size_t i = 0; i < mappings.size(); ++i) {
+    if (stop()) return;
+    groups[mappings[i].Domain()].push_back(i);
+  }
+  for (const auto& [domain, rows] : groups) {
+    std::unordered_set<Mapping, MappingHash> projections;
+    for (const auto& [wider, wider_rows] : groups) {
+      if (stop()) return;
+      if (wider.size() <= domain.size() || !SortedIsSubset(domain, wider)) {
+        continue;
+      }
+      for (size_t j : wider_rows) {
+        if (stop()) return;
+        projections.insert(mappings[j].RestrictTo(domain));
+      }
+    }
+    for (size_t i : rows) {
+      if (stop()) return;
+      (*keep)[i] = projections.count(mappings[i]) == 0;
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<Mapping> MaximalMappings(const std::vector<Mapping>& mappings,
                                      const CancelToken& cancel) {
+  std::vector<bool> keep(mappings.size(), false);
+  MarkMaximalRows(mappings, cancel, &keep);
   std::vector<Mapping> maximal;
   for (size_t i = 0; i < mappings.size(); ++i) {
-    // Each row scans all rows; poll every 32 rows (a ShouldStop reads
-    // the clock).
-    if (cancel.valid() && (i & 0x1F) == 0 && cancel.ShouldStop()) break;
+    if (keep[i]) maximal.push_back(mappings[i]);
+  }
+  return maximal;
+}
+
+std::vector<Mapping> MaximalMappingsByPairwiseScan(
+    const std::vector<Mapping>& mappings) {
+  std::vector<Mapping> maximal;
+  for (size_t i = 0; i < mappings.size(); ++i) {
     bool dominated = false;
     for (size_t j = 0; j < mappings.size() && !dominated; ++j) {
       if (i != j && mappings[i].IsStrictlySubsumedBy(mappings[j])) {

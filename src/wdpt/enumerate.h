@@ -39,18 +39,7 @@ Status ForEachMaximalHomomorphism(
     const EnumerationLimits& limits = EnumerationLimits());
 
 /// p(D): projections of the maximal homomorphisms onto the free
-/// variables, deduplicated. Uses the projection-aware enumerator below.
-///
-/// All answer-set entry points in this header return their answers in
-/// the canonical order (Mapping's lexicographic operator<): any two
-/// evaluation paths over the same instance — projected or full
-/// enumeration — produce bit-identical vectors, and a truncation to the
-/// first K rows is deterministic.
-Result<std::vector<Mapping>> EvaluateWdpt(
-    const PatternTree& tree, const Database& db,
-    const EnumerationLimits& limits = EnumerationLimits());
-
-/// Projection-aware computation of p(D): per child subtree, maximal
+/// variables, deduplicated. Projection-aware: per child subtree, maximal
 /// completions are deduplicated by their projection onto the free
 /// variables *before* the cross-child product is taken, and completion
 /// sets are memoized on the child's interface assignment. Equivalent to
@@ -58,6 +47,12 @@ Result<std::vector<Mapping>> EvaluateWdpt(
 /// blow-up is bounded by answer counts instead of homomorphism counts —
 /// often exponentially smaller when optional branches have many
 /// existential matches.
+///
+/// All answer-set entry points in this header return their answers in
+/// the canonical order (Mapping's lexicographic operator<): any two
+/// evaluation paths over the same instance — projected or full
+/// enumeration — produce bit-identical vectors, and a truncation to the
+/// first K rows is deterministic.
 Result<std::vector<Mapping>> EvaluateWdptProjected(
     const PatternTree& tree, const Database& db,
     const EnumerationLimits& limits = EnumerationLimits());
@@ -69,6 +64,13 @@ Result<std::vector<Mapping>> EvaluateWdptByFullEnumeration(
     const PatternTree& tree, const Database& db,
     const EnumerationLimits& limits = EnumerationLimits());
 
+/// Reference implementation of MaximalMappings: tests every ordered pair
+/// of rows with IsStrictlySubsumedBy, O(n^2). Takes no token and is never
+/// called by the engine; kept for differential testing of the
+/// domain-grouped filter.
+std::vector<Mapping> MaximalMappingsByPairwiseScan(
+    const std::vector<Mapping>& mappings);
+
 /// p_m(D): the subsumption-maximal elements of p(D) (Section 3.4). The
 /// maximality filter polls `limits.cancel` too, so a fired token yields
 /// its status at any point of the call.
@@ -76,10 +78,15 @@ Result<std::vector<Mapping>> EvaluateWdptMaximal(
     const PatternTree& tree, const Database& db,
     const EnumerationLimits& limits = EnumerationLimits());
 
-/// Filters the subsumption-maximal mappings out of `mappings`. Polls
-/// `cancel` every few dozen rows and stops early once it fires; the
-/// result is then incomplete, so a caller passing a token must check it
-/// afterwards (EvaluateWdptMaximal returns the token's status instead).
+/// Filters the subsumption-maximal mappings out of `mappings`, keeping
+/// input order and duplicates. Rows are grouped by domain: a row is
+/// strictly subsumed exactly when it equals the projection of a row
+/// whose domain strictly contains its own, so the filter makes
+/// O(n * g) probes for g distinct domains (g <= 2^|free(p)| for
+/// the answers of one tree). Polls `cancel` every 32 probes and stops
+/// early once it fires; the result is then an incomplete subset, so a
+/// caller passing a token must check it afterwards (EvaluateWdptMaximal
+/// returns the token's status instead).
 std::vector<Mapping> MaximalMappings(const std::vector<Mapping>& mappings,
                                      const CancelToken& cancel = CancelToken());
 

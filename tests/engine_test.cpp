@@ -1,7 +1,8 @@
 // Tests for the wdpt::Engine: batched evaluation agrees bit-for-bit
 // with sequential evaluation (Figure 1 and randomized instances),
 // enumeration agrees with the full-enumeration reference on hostile
-// query families, the plan cache hits on repeated queries, and
+// query families, the maximality filter agrees with the pairwise-scan
+// reference, the plan cache hits on repeated queries, and
 // deadlines/cancellation produce kDeadlineExceeded/kCancelled — never a
 // partial answer, the p_m(D) maximality filter included.
 
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,13 +21,16 @@
 #include "src/gen/reductions.h"
 #include "src/gen/wdpt_gen.h"
 #include "src/relational/rdf.h"
+#include "src/uwdpt/uwdpt.h"
 #include "src/wdpt/enumerate.h"
 
 namespace wdpt {
 namespace {
 
-// Figure 1 WDPT with full projection dropped to {x, y, z}.
-PatternTree MakeFigure1Tree(RdfContext* ctx) {
+// Figure 1 WDPT (x = record, y = band, z = rating, z2 = year) with
+// the free variables `free`.
+PatternTree MakeFigure1Tree(RdfContext* ctx,
+                            const std::vector<std::string>& free) {
   PatternTree tree;
   tree.AddAtom(PatternTree::kRoot,
                ctx->TriplePattern("?x", "recorded_by", "?y"));
@@ -35,11 +40,18 @@ PatternTree MakeFigure1Tree(RdfContext* ctx) {
                 {ctx->TriplePattern("?x", "NME_rating", "?z")});
   tree.AddChild(PatternTree::kRoot,
                 {ctx->TriplePattern("?y", "formed_in", "?z2")});
-  tree.SetFreeVariables({ctx->vocab().Variable("x").variable_id(),
-                         ctx->vocab().Variable("y").variable_id(),
-                         ctx->vocab().Variable("z").variable_id()});
+  std::vector<VariableId> free_ids;
+  for (const std::string& name : free) {
+    free_ids.push_back(ctx->vocab().Variable(name).variable_id());
+  }
+  tree.SetFreeVariables(free_ids);
   WDPT_CHECK(tree.Validate().ok());
   return tree;
+}
+
+// Figure 1 WDPT with full projection dropped to {x, y, z}.
+PatternTree MakeFigure1Tree(RdfContext* ctx) {
+  return MakeFigure1Tree(ctx, {"x", "y", "z"});
 }
 
 Database MakeExample2Db(RdfContext* ctx) {
@@ -221,13 +233,79 @@ TEST(EngineDeadline, ExpiredDeadlineIsDeadlineExceededNotAPartialAnswer) {
   EXPECT_GE(engine.stats().deadline_exceeded, 2u);
 }
 
-TEST(EngineDeadline, MaximalEnumerationStopsInsideTheMaximalityFilter) {
-  // p_m(D) first computes p(D), then filters it for maximality; on this
-  // catalog the filter dominates. Measure unbounded p(D) time P and
-  // p_m(D) time T, then give p_m(D) a deadline a quarter of the way
-  // into the filter: the call must stop near it, well before it could
-  // have finished. The bounds are relative, so they hold under
-  // sanitizers too.
+// `n` mappings over variables 0..num_vars-1 and constants
+// 0..num_constants-1, in random order: each binds a random subset of
+// the variables (the empty one included), and about one in four
+// repeats an earlier row.
+std::vector<Mapping> RandomMappings(size_t n, uint32_t num_vars,
+                                    uint32_t num_constants, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Mapping> rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (!rows.empty() && rng() % 4 == 0) {
+      rows.push_back(rows[rng() % rows.size()]);
+      continue;
+    }
+    Mapping row;
+    for (VariableId v = 0; v < num_vars; ++v) {
+      if (rng() % 2 == 0) {
+        row.Bind(v, static_cast<ConstantId>(rng() % num_constants));
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(EngineDeadline, MaximalityFilterStopsNearItsDeadline) {
+  // The filter alone, on mappings with random domains over eight
+  // variables, grown until an unbounded call takes F >= 20 ms. A
+  // deadline at F/4 must stop it before F/2 with a strict subset of
+  // the result; an already-fired token must stop it at once. The bounds
+  // are relative, so they hold under sanitizers too.
+  using Clock = std::chrono::steady_clock;
+  auto timed = [](const std::vector<Mapping>& rows, const CancelToken& token,
+                  std::vector<Mapping>* result) {
+    Clock::time_point start = Clock::now();
+    *result = MaximalMappings(rows, token);
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+        Clock::now() - start);
+  };
+  std::vector<Mapping> rows;
+  std::vector<Mapping> full;
+  std::chrono::nanoseconds f{0};
+  for (size_t n = 4096; f < std::chrono::milliseconds(20); n *= 2) {
+    ASSERT_LE(n, size_t{1} << 20);
+    rows = RandomMappings(n, /*num_vars=*/8, /*num_constants=*/1000,
+                          /*seed=*/n);
+    f = timed(rows, CancelToken(), &full);
+  }
+
+  std::vector<Mapping> partial;
+  std::chrono::nanoseconds elapsed =
+      timed(rows, CancelToken::WithDeadline(Clock::now() + f / 4), &partial);
+  EXPECT_LT(elapsed, f / 2) << "F=" << f.count() << "ns";
+  // The rows it kept are maximal: a strict subsequence of the result.
+  EXPECT_LT(partial.size(), full.size());
+  auto next = full.begin();
+  for (const Mapping& row : partial) {
+    next = std::find(next, full.end(), row);
+    ASSERT_NE(next, full.end());
+    ++next;
+  }
+
+  CancelToken fired = CancelToken::Create();
+  fired.RequestCancel();
+  elapsed = timed(rows, fired, &partial);
+  EXPECT_LT(elapsed, f / 10) << "F=" << f.count() << "ns";
+  EXPECT_TRUE(partial.empty());
+}
+
+TEST(EngineDeadline, MaximalEnumerationStopsNearItsDeadline) {
+  // p_m(D) through the engine: measure unbounded p(D) time P, then give
+  // p_m(D) a deadline at P/4. The call must fail before P/2. The bounds
+  // are relative, so they hold under sanitizers too.
   RdfContext ctx;
   gen::MusicCatalogOptions catalog;
   catalog.num_bands = 2000;
@@ -235,7 +313,6 @@ TEST(EngineDeadline, MaximalEnumerationStopsInsideTheMaximalityFilter) {
   db.Freeze();
   PatternTree tree = MakeFigure1Tree(&ctx);
   Engine engine;
-  CallOptions standard;
   CallOptions maximal;
   maximal.semantics = EvalSemantics::kMaximal;
 
@@ -249,18 +326,14 @@ TEST(EngineDeadline, MaximalEnumerationStopsInsideTheMaximalityFilter) {
   };
   Result<std::vector<Mapping>> answers = engine.Enumerate(tree, db);
   ASSERT_TRUE(answers.ok());  // Warm-up.
-  std::chrono::nanoseconds p = timed(standard, &answers);
+  std::chrono::nanoseconds p = timed(CallOptions(), &answers);
   ASSERT_TRUE(answers.ok());
-  std::chrono::nanoseconds t = timed(maximal, &answers);
-  ASSERT_TRUE(answers.ok());
-  ASSERT_GT(t, p);
 
-  maximal.deadline = p + (t - p) / 4;
+  maximal.deadline = p / 4;
   std::chrono::nanoseconds elapsed = timed(maximal, &answers);
   ASSERT_FALSE(answers.ok());
   EXPECT_EQ(answers.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(elapsed, p + (t - p) / 2)
-      << "P=" << p.count() << "ns T=" << t.count() << "ns";
+  EXPECT_LT(elapsed, p / 2) << "P=" << p.count() << "ns";
   EXPECT_EQ(engine.stats().deadline_exceeded, 1u);
 }
 
@@ -311,7 +384,7 @@ TEST(EngineEnumerate, MatchesDirectEvaluators) {
   Engine engine;
 
   Result<std::vector<Mapping>> via_engine = engine.Enumerate(tree, db);
-  Result<std::vector<Mapping>> direct = EvaluateWdpt(tree, db);
+  Result<std::vector<Mapping>> direct = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(via_engine.ok());
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(*via_engine, *direct);
@@ -327,8 +400,8 @@ TEST(EngineEnumerate, MatchesDirectEvaluators) {
 }
 
 // Enumerate under both semantics against the reference evaluators:
-// full maximal-homomorphism enumeration for p(D), and the maximality
-// filter over it for p_m(D).
+// full maximal-homomorphism enumeration for p(D), and the pairwise-scan
+// maximality filter over it for p_m(D).
 void ExpectEnumerateMatchesReference(const PatternTree& tree,
                                      const Database& db) {
   Result<std::vector<Mapping>> reference =
@@ -342,7 +415,7 @@ void ExpectEnumerateMatchesReference(const PatternTree& tree,
   options.semantics = EvalSemantics::kMaximal;
   Result<std::vector<Mapping>> maximal = engine.Enumerate(tree, db, options);
   ASSERT_TRUE(maximal.ok()) << maximal.status().ToString();
-  EXPECT_EQ(*maximal, MaximalMappings(*reference));
+  EXPECT_EQ(*maximal, MaximalMappingsByPairwiseScan(*reference));
 }
 
 // Hostile query families through Enumerate, each against the
@@ -416,6 +489,64 @@ TEST(ShardedEnumerate, EmptyDatabaseAndEmptyShards) {
   ctx.AddTriple(&tiny, "Swim", "recorded_by", "Caribou");
   ctx.AddTriple(&tiny, "Swim", "published", "after_2010");
   ExpectEnumerateMatchesReference(tree, tiny);
+}
+
+// The domain-grouped maximality filter against the pairwise scan, as
+// whole vectors: same rows, same order, duplicates kept. A live token
+// that never fires must not change the result.
+void ExpectFilterMatchesPairwiseScan(const std::vector<Mapping>& rows) {
+  std::vector<Mapping> expected = MaximalMappingsByPairwiseScan(rows);
+  EXPECT_EQ(MaximalMappings(rows), expected);
+  EXPECT_EQ(MaximalMappings(rows, CancelToken::Create()), expected);
+}
+
+TEST(MaximalityFilter, MatchesPairwiseScanOnRandomMappingSets) {
+  // Five variables and three constants make strict subsumption,
+  // duplicates and the empty mapping common; the rows are unsorted.
+  uint64_t seed = 0;
+  for (size_t n : {0, 1, 2, 3, 5, 8, 20, 50, 120, 300}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<Mapping> rows =
+          RandomMappings(n, /*num_vars=*/5, /*num_constants=*/3, ++seed);
+      if (trial % 2 == 1 && n > 0) rows[seed % n] = Mapping();
+      ExpectFilterMatchesPairwiseScan(rows);
+    }
+  }
+}
+
+TEST(MaximalityFilter, MatchesPairwiseScanOnUnionOutput) {
+  // EvaluateUnion concatenates its members' answers, so the rows are
+  // unsorted, and members with different free variables give rows that
+  // strictly subsume each other across members.
+  RdfContext ctx;
+  gen::MusicCatalogOptions catalog;
+  catalog.num_bands = 40;
+  Database db = gen::MakeMusicCatalog(&ctx, catalog);
+  UnionWdpt phi;
+  phi.members.push_back(MakeFigure1Tree(&ctx, {"y", "z"}));
+  phi.members.push_back(MakeFigure1Tree(&ctx, {"y"}));
+  phi.members.push_back(MakeFigure1Tree(&ctx, {"x", "y", "z2"}));
+  Result<std::vector<Mapping>> rows = EvaluateUnion(phi, db);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_FALSE(std::is_sorted(rows->begin(), rows->end()));
+  std::vector<Mapping> maximal = MaximalMappings(*rows);
+  EXPECT_LT(maximal.size(), rows->size());
+  ExpectFilterMatchesPairwiseScan(*rows);
+}
+
+TEST(MaximalityFilter, MatchesPairwiseScanOnCatalogProjectedToBandAndRating) {
+  // A band with a rated and an unrated record yields {band}, which
+  // {band, rating} strictly subsumes, so the filter must drop rows.
+  RdfContext ctx;
+  gen::MusicCatalogOptions catalog;
+  catalog.num_bands = 200;
+  Database db = gen::MakeMusicCatalog(&ctx, catalog);
+  Result<std::vector<Mapping>> rows =
+      EvaluateWdptProjected(MakeFigure1Tree(&ctx, {"y", "z"}), db);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  std::vector<Mapping> maximal = MaximalMappings(*rows);
+  EXPECT_LT(maximal.size(), rows->size());
+  ExpectFilterMatchesPairwiseScan(*rows);
 }
 
 TEST(EnginePlan, ForcedProjectionFreeOnProjectingTreeIsAnError) {

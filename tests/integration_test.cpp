@@ -62,7 +62,7 @@ TEST(PipelineTest, ParseClassifyEvaluateOptimize) {
   EXPECT_FALSE(cls->projection_free);
 
   // Evaluation: expected answers.
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(answers.ok());
   // rec1: band1 + rating 7 + year 1999; rec2: band1 + year (no rating);
   // rec4: band2 alone; rec3 filtered by published.
@@ -112,7 +112,7 @@ TEST(PipelineTest, ParseClassifyEvaluateOptimize) {
       sparql::ToAlgebraString(tree, ctx.schema(), ctx.vocab());
   Result<PatternTree> reparsed = sparql::ParseQuery(printed, &ctx);
   ASSERT_TRUE(reparsed.ok()) << printed;
-  Result<std::vector<Mapping>> answers2 = EvaluateWdpt(*reparsed, db);
+  Result<std::vector<Mapping>> answers2 = EvaluateWdptProjected(*reparsed, db);
   ASSERT_TRUE(answers2.ok());
   std::sort(answers->begin(), answers->end());
   std::sort(answers2->begin(), answers2->end());
@@ -238,7 +238,7 @@ TEST_F(CornerCases, WdptWithConstantOnlyChild) {
   tree.SetFreeVariables({V("x").variable_id()});
   ASSERT_TRUE(tree.Validate().ok());
   // The ground child matches, but binds nothing: answers unchanged.
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(answers->size(), 2u);
   for (const Mapping& m : *answers) {
@@ -256,7 +256,7 @@ TEST_F(CornerCases, WdptWithEmptyRootLabel) {
   tree.AddChild(PatternTree::kRoot, {Edge(V("x"), V("x"))});
   tree.SetFreeVariables({V("x").variable_id()});
   ASSERT_TRUE(tree.Validate().ok());
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(answers.ok());
   // Two loop answers; the empty mapping is NOT an answer because the
   // child is enterable (maximality).
@@ -267,7 +267,7 @@ TEST_F(CornerCases, WdptWithEmptyRootLabel) {
   // On a database where the child cannot match, the empty mapping is the
   // unique answer.
   Database empty_db(&schema_);
-  Result<std::vector<Mapping>> no_match = EvaluateWdpt(tree, empty_db);
+  Result<std::vector<Mapping>> no_match = EvaluateWdptProjected(tree, empty_db);
   ASSERT_TRUE(no_match.ok());
   ASSERT_EQ(no_match->size(), 1u);
   EXPECT_TRUE((*no_match)[0].empty());

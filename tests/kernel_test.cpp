@@ -486,17 +486,19 @@ TEST(WdptDifferentialTest, Fig1AnswersIdenticalAcrossKernels) {
   bench::Fig1Instance instance(/*num_bands=*/60);
   SetDefaultCqKernel(CqKernel::kLegacy);
   SetDefaultHomOrder(HomOrder::kLegacy);
-  Result<std::vector<Mapping>> legacy = EvaluateWdpt(instance.tree, instance.db);
+  Result<std::vector<Mapping>> legacy =
+      EvaluateWdptProjected(instance.tree, instance.db);
   SetDefaultCqKernel(CqKernel::kFlat);
   SetDefaultHomOrder(HomOrder::kStats);
-  Result<std::vector<Mapping>> flat = EvaluateWdpt(instance.tree, instance.db);
+  Result<std::vector<Mapping>> flat =
+      EvaluateWdptProjected(instance.tree, instance.db);
   SetDefaultCqKernel(CqKernel::kDefault);
   SetDefaultHomOrder(HomOrder::kDefault);
   ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(flat.ok());
   ASSERT_FALSE(legacy->empty());
-  // EvaluateWdpt's contract is the canonical sorted order, so equality
-  // here is bit-identity, not just same-set.
+  // EvaluateWdptProjected's contract is the canonical sorted order, so
+  // equality here is bit-identity, not just same-set.
   ASSERT_EQ(*legacy, *flat);
 }
 

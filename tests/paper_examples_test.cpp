@@ -166,7 +166,7 @@ TEST(Theorem1Context, ProjectionFreeSemanticsSpotCheck) {
   gopts.seed = 78;
   RelationId e;
   Database db = gen::MakeRandomGraphDb(&schema, &vocab, gopts, &e);
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(answers.ok());
   // In the projection-free case p(D) = p_m(D) (Section 3.4).
   Result<std::vector<Mapping>> maximal = EvaluateWdptMaximal(tree, db);

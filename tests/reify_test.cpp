@@ -82,8 +82,9 @@ TEST_P(ReifyEquivalence, AnswersCoincideWithOriginal) {
   Database rdf_db = reifier.ReifyDatabase(db);
   PatternTree rdf_tree = reifier.ReifyTree(tree);
 
-  Result<std::vector<Mapping>> original = EvaluateWdpt(tree, db);
-  Result<std::vector<Mapping>> reified = EvaluateWdpt(rdf_tree, rdf_db);
+  Result<std::vector<Mapping>> original = EvaluateWdptProjected(tree, db);
+  Result<std::vector<Mapping>> reified =
+      EvaluateWdptProjected(rdf_tree, rdf_db);
   ASSERT_TRUE(original.ok());
   ASSERT_TRUE(reified.ok());
   std::sort(original->begin(), original->end());

@@ -232,7 +232,7 @@ TEST_F(SemanticFixture, OptimizedEvaluatorMatchesDirectEvaluation) {
   add("a", "b");
   add("b", "c");
 
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(answers.ok());
   ASSERT_FALSE(answers->empty());
   std::vector<Mapping> maximal = MaximalMappings(*answers);

@@ -123,7 +123,7 @@ TEST(DataLoaderTest, LoadTriplesAndEvaluate) {
   Result<PatternTree> tree =
       ParseQuery("(?x, recorded_by, ?y)", &ctx);
   ASSERT_TRUE(tree.ok());
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(*tree, db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(*tree, db);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(answers->size(), 1u);
 }

@@ -338,7 +338,7 @@ TEST_F(UwdptFixture, UnionEvalAgreesWithMemberEval) {
   phi.members.push_back(std::move(m1));
   Result<std::vector<Mapping>> union_answers = EvaluateUnion(phi, db);
   Result<std::vector<Mapping>> member_answers =
-      EvaluateWdpt(phi.members[0], db);
+      EvaluateWdptProjected(phi.members[0], db);
   ASSERT_TRUE(union_answers.ok());
   ASSERT_TRUE(member_answers.ok());
   std::sort(union_answers->begin(), union_answers->end());

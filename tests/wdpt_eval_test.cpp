@@ -72,7 +72,7 @@ TEST(PaperExamples, Example2Evaluation) {
   RdfContext ctx;
   PatternTree tree = MakeFigure1Tree(&ctx, {});
   Database db = MakeExample2Db(&ctx);
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(answers.ok());
   Mapping mu1 = M(&ctx, {{"x", "Our_love"}, {"y", "Caribou"}});
   Mapping mu2 = M(&ctx, {{"x", "Swim"}, {"y", "Caribou"}, {"z", "2"}});
@@ -85,7 +85,7 @@ TEST(PaperExamples, Example3Projection) {
   RdfContext ctx;
   PatternTree tree = MakeFigure1Tree(&ctx, {"y", "z", "z2"});
   Database db = MakeExample2Db(&ctx);
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(answers.ok());
   Mapping mu1p = M(&ctx, {{"y", "Caribou"}});
   Mapping mu2p = M(&ctx, {{"y", "Caribou"}, {"z", "2"}});
@@ -98,7 +98,7 @@ TEST(PaperExamples, Example7MaximalMappings) {
   RdfContext ctx;
   PatternTree tree = MakeFigure1Tree(&ctx, {"y", "z"});
   Database db = MakeExample2Db(&ctx);
-  Result<std::vector<Mapping>> all = EvaluateWdpt(tree, db);
+  Result<std::vector<Mapping>> all = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 2u);
   Result<std::vector<Mapping>> maximal = EvaluateWdptMaximal(tree, db);
@@ -221,7 +221,7 @@ TEST_P(RandomEvalAgreement, NaiveAndTractableAgree) {
   Vocabulary vocab;
   RandomCase c(&schema, &vocab, GetParam());
 
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(c.tree, c.db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(c.tree, c.db);
   ASSERT_TRUE(answers.ok());
 
   // Every enumerated answer must pass both membership tests; mutated
@@ -256,7 +256,7 @@ TEST_P(RandomEvalAgreement, PartialEvalMatchesBruteForce) {
   Schema schema;
   Vocabulary vocab;
   RandomCase c(&schema, &vocab, GetParam());
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(c.tree, c.db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(c.tree, c.db);
   ASSERT_TRUE(answers.ok());
 
   std::vector<Mapping> probes = *answers;
@@ -286,7 +286,7 @@ TEST_P(RandomEvalAgreement, MaxEvalMatchesBruteForce) {
   Schema schema;
   Vocabulary vocab;
   RandomCase c(&schema, &vocab, GetParam());
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(c.tree, c.db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(c.tree, c.db);
   ASSERT_TRUE(answers.ok());
   std::vector<Mapping> maximal = MaximalMappings(*answers);
   for (const Mapping& a : *answers) {
@@ -317,7 +317,7 @@ TEST_P(RandomEvalAgreement, ProjectionFreeAgreesWhenApplicable) {
   RelationId e;
   Database db = gen::MakeRandomGraphDb(&schema, &vocab, gopts, &e);
 
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(answers.ok());
   std::vector<Mapping> probes = *answers;
   for (const Mapping& a : *answers) {
@@ -407,7 +407,7 @@ TEST(EnumerationTest, UnsatisfiableRootYieldsNoAnswers) {
   ASSERT_TRUE(tree.Validate().ok());
   Database db = ctx.MakeDatabase();
   ctx.AddTriple(&db, "a", "q", "b");  // Wrong predicate.
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(answers.ok());
   EXPECT_TRUE(answers->empty());
   Result<bool> empty_answer = EvalNaive(tree, db, Mapping());

@@ -57,7 +57,7 @@ class WdptShapeProperties : public ::testing::TestWithParam<ShapeParam> {
 
 TEST_P(WdptShapeProperties, GroundTruthAgreement) {
   Build();
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree_, *db_);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(tree_, *db_);
   ASSERT_TRUE(answers.ok());
 
   // Probe set: answers, their restrictions, and the empty mapping.
@@ -101,7 +101,7 @@ TEST_P(WdptShapeProperties, GroundTruthAgreement) {
 
 TEST_P(WdptShapeProperties, SemanticLaws) {
   Build();
-  Result<std::vector<Mapping>> answers = EvaluateWdpt(tree_, *db_);
+  Result<std::vector<Mapping>> answers = EvaluateWdptProjected(tree_, *db_);
   ASSERT_TRUE(answers.ok());
   if (answers->size() > 400) answers->resize(400);  // Bound the n^2 laws.
   std::vector<Mapping> maximal = MaximalMappings(*answers);
