@@ -1,5 +1,5 @@
-// bench_kernel: join-kernel microbenchmarks and legacy-vs-flat
-// before/after comparison on the Table 1 workloads.
+// bench_kernel: join-kernel microbenchmarks and full-query timings on
+// the Table 1 workloads.
 //
 // Usage:
 //   bench_kernel [--db-vertices N] [--reps N] [--check] [--json FILE]
@@ -9,18 +9,18 @@
 //     index of a random graph relation (million probes/second).
 //   * semijoin: the semijoin inner loop in isolation — build a key set
 //     from 1M binary tuples, then stream 4M membership probes through
-//     it, once with the legacy structure (std::unordered_set) and once
-//     with the arena-backed FlatTupleSet. Million probes/second each.
-//   * eval_*: full-query before/after — the Table 1 EVAL / MAX-EVAL
-//     tractable sweeps and an acyclic-CQ evaluation, each run once with
-//     the legacy kernel (CqKernel::kLegacy + HomOrder::kLegacy) and once
-//     with the flat kernel (kFlat + kStats); the JSON records both
-//     medians and the speedup ratio.
+//     it, once with a node-based std::unordered_set and once with the
+//     arena-backed FlatTupleSet. Million probes/second each.
+//   * eval_*: full-query wall time, median over --reps runs — the
+//     Table 1 EVAL / MAX-EVAL tractable sweeps and an acyclic-CQ
+//     evaluation.
 //
-// --check additionally compares the two kernels' canonical answer sets
-// on every workload and fails (exit 1) on any divergence, which makes
-// the binary usable as a differential gate (tools/run_tier1.sh runs it
-// this way in its perf-smoke step).
+// --check additionally compares the decomposition (bag) kernel with the
+// backtracking homomorphism search, two evaluators that share no join
+// code, and fails (exit 1) on any divergence: the acyclic CQ's answer
+// set, and the Eval verdicts of sampled candidates under all three
+// semantics. That makes the binary usable as a differential gate
+// (tools/run_tier1.sh runs it this way in its perf-smoke step).
 //
 // --json writes BENCH_kernel.json (the bench_kernel_json target
 // captures it); tools/bench_compare.py diffs two such files.
@@ -42,7 +42,6 @@
 #include "src/common/metrics.h"
 #include "src/common/status.h"
 #include "src/cq/evaluation.h"
-#include "src/cq/kernel.h"
 #include "src/engine/engine.h"
 #include "src/gen/cq_gen.h"
 #include "src/relational/mapping.h"
@@ -73,13 +72,8 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-void UseKernel(CqKernel kernel, HomOrder order) {
-  SetDefaultCqKernel(kernel);
-  SetDefaultHomOrder(order);
-}
-
 // Canonical form of an answer set: sorted textual renderings, so the
-// two kernels' outputs compare independent of enumeration order.
+// two evaluators' outputs compare independent of enumeration order.
 std::vector<std::string> Canonical(const std::vector<Mapping>& answers) {
   std::vector<std::string> out;
   out.reserve(answers.size());
@@ -94,36 +88,22 @@ std::vector<std::string> Canonical(const std::vector<Mapping>& answers) {
   return out;
 }
 
-// One before/after series: wall-time medians per kernel + the ratio.
+// One timed series: the median wall time of `reps` runs of `work`.
 struct Series {
   std::string name;
-  double legacy_ms = 0;
-  double flat_ms = 0;
-
-  double Speedup() const { return flat_ms > 0 ? legacy_ms / flat_ms : 0; }
+  double ms = 0;
 };
 
-// Times `work` under each kernel, `reps` times, keeping medians.
 template <typename Fn>
 Series RunSeries(const std::string& name, int reps, Fn work) {
-  Series s;
-  s.name = name;
-  std::vector<double> legacy, flat;
+  std::vector<double> samples;
   for (int rep = 0; rep < reps; ++rep) {
-    UseKernel(CqKernel::kLegacy, HomOrder::kLegacy);
     Clock::time_point t0 = Clock::now();
     work();
-    legacy.push_back(ElapsedMs(t0));
-    UseKernel(CqKernel::kFlat, HomOrder::kStats);
-    t0 = Clock::now();
-    work();
-    flat.push_back(ElapsedMs(t0));
+    samples.push_back(ElapsedMs(t0));
   }
-  UseKernel(CqKernel::kDefault, HomOrder::kDefault);
-  s.legacy_ms = Median(std::move(legacy));
-  s.flat_ms = Median(std::move(flat));
-  std::fprintf(stderr, "%-28s legacy=%9.3fms flat=%9.3fms speedup=%.2fx\n",
-               s.name.c_str(), s.legacy_ms, s.flat_ms, s.Speedup());
+  Series s{name, Median(std::move(samples))};
+  std::fprintf(stderr, "%-28s %9.3fms\n", s.name.c_str(), s.ms);
   return s;
 }
 
@@ -259,7 +239,7 @@ int main(int argc, char** argv) {
                  "semijoin_probe", semijoin_legacy_mps, semijoin_flat_mps);
   }
 
-  // --- full-query before/after -----------------------------------------
+  // --- full-query timings ---------------------------------------------
   std::vector<Series> series;
 
   {
@@ -298,15 +278,14 @@ int main(int argc, char** argv) {
     small_cq.free_vars = {small_cq.atoms.front().terms[0].variable_id(),
                           small_cq.atoms.back().terms[1].variable_id()};
     small_cq.Normalize();
-    UseKernel(CqKernel::kLegacy, HomOrder::kLegacy);
-    std::optional<std::vector<Mapping>> legacy_cq =
+    CqEvalOptions backtracking;
+    backtracking.strategy = CqEvalStrategy::kBacktracking;
+    std::optional<std::vector<Mapping>> bags_cq =
         EvaluateAcyclic(small_cq, small.db);
-    UseKernel(CqKernel::kFlat, HomOrder::kStats);
-    std::optional<std::vector<Mapping>> flat_cq =
-        EvaluateAcyclic(small_cq, small.db);
-    UseKernel(CqKernel::kDefault, HomOrder::kDefault);
-    WDPT_CHECK(legacy_cq.has_value() && flat_cq.has_value());
-    if (Canonical(*legacy_cq) != Canonical(*flat_cq)) {
+    std::vector<Mapping> reference_cq =
+        EvaluateCq(small_cq, small.db, backtracking);
+    WDPT_CHECK(bags_cq.has_value());
+    if (Canonical(*bags_cq) != Canonical(reference_cq)) {
       std::fprintf(stderr, "CHECK FAILED: acyclic CQ answer sets differ\n");
       ++check_failures;
     }
@@ -314,8 +293,8 @@ int main(int argc, char** argv) {
     // WDPT side: p(D) on these random instances is combinatorially huge,
     // so the differential is a bounded membership sweep — sample answers
     // from an early-stopped enumeration, add perturbed (likely-negative)
-    // variants, and require identical Eval verdicts from both kernels
-    // under all three semantics.
+    // variants, and require identical Eval verdicts from both CQ
+    // strategies under all three semantics.
     std::vector<Mapping> candidates;
     Status enum_status = ForEachMaximalHomomorphism(
         small.tree, small.db, [&](const Mapping& m) {
@@ -338,31 +317,31 @@ int main(int argc, char** argv) {
     for (EvalSemantics semantics :
          {EvalSemantics::kStandard, EvalSemantics::kPartial,
           EvalSemantics::kMaximal}) {
-      Engine legacy_engine, flat_engine;
-      CallOptions check_opts;
-      check_opts.semantics = semantics;
+      Engine bags_engine, reference_engine;
+      CallOptions bags_opts, reference_opts;
+      bags_opts.semantics = reference_opts.semantics = semantics;
+      bags_opts.cq.strategy = CqEvalStrategy::kDecomposition;
+      reference_opts.cq.strategy = CqEvalStrategy::kBacktracking;
       for (const Mapping& h : candidates) {
-        UseKernel(CqKernel::kLegacy, HomOrder::kLegacy);
-        Result<bool> lv = legacy_engine.Eval(small.tree, small.db, h, check_opts);
-        UseKernel(CqKernel::kFlat, HomOrder::kStats);
-        Result<bool> fv = flat_engine.Eval(small.tree, small.db, h, check_opts);
-        UseKernel(CqKernel::kDefault, HomOrder::kDefault);
-        WDPT_CHECK(lv.ok() && fv.ok());
-        if (*lv != *fv) ++verdict_mismatches;
+        Result<bool> bv = bags_engine.Eval(small.tree, small.db, h, bags_opts);
+        Result<bool> rv =
+            reference_engine.Eval(small.tree, small.db, h, reference_opts);
+        WDPT_CHECK(bv.ok() && rv.ok());
+        if (*bv != *rv) ++verdict_mismatches;
       }
     }
     if (verdict_mismatches != 0) {
       std::fprintf(stderr,
                    "CHECK FAILED: %llu WDPT Eval verdicts differ between "
-                   "kernels\n",
+                   "CQ strategies\n",
                    static_cast<unsigned long long>(verdict_mismatches));
       ++check_failures;
     }
     if (check_failures == 0) {
       std::fprintf(stderr,
-                   "check: kernels agree (%zu CQ answers, %zu Eval candidates "
-                   "x 3 semantics)\n",
-                   legacy_cq->size(), candidates.size());
+                   "check: evaluators agree (%zu CQ answers, %zu Eval "
+                   "candidates x 3 semantics)\n",
+                   reference_cq.size(), candidates.size());
     }
   }
 
@@ -380,9 +359,7 @@ int main(int argc, char** argv) {
         << ",\"semijoin_flat_mprobes_per_s\":"
         << FormatDouble(semijoin_flat_mps);
     for (const Series& s : series) {
-      out << ",\"" << s.name << "_legacy_ms\":" << FormatDouble(s.legacy_ms)
-          << ",\"" << s.name << "_flat_ms\":" << FormatDouble(s.flat_ms)
-          << ",\"" << s.name << "_speedup\":" << FormatDouble(s.Speedup());
+      out << ",\"" << s.name << "_ms\":" << FormatDouble(s.ms);
     }
     out << "}\n";
     std::fprintf(stderr, "wrote %s\n", json_path.c_str());

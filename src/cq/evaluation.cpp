@@ -1,14 +1,12 @@
 #include "src/cq/evaluation.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/common/algo.h"
 #include "src/common/arena.h"
 #include "src/common/flat_table.h"
-#include "src/common/hash.h"
 #include "src/common/metrics.h"
 #include "src/common/status.h"
 #include "src/cq/homomorphism.h"
@@ -27,16 +25,16 @@ int VarPos(const std::vector<VariableId>& vars, VariableId v) {
 }
 
 // ---------------------------------------------------------------------------
-// Flat kernel (CqKernel::kFlat)
+// Decomposition kernel
 //
-// The same Yannakakis pipeline as the legacy kernel below — materialize
-// bags by hash join with projection pushdown, semijoin-reduce along the
-// tree, enumerate — but tuples live in flat row-major arrays, hash state
-// lives in open-addressing FlatTupleSet/Map scratch (src/common/
-// flat_table.h) whose wide keys spill into one reusable Arena, and the
-// join order inside a bag is driven by the CSR column statistics. In
-// steady state an evaluation allocates nothing per tuple: all scratch is
-// thread-local and Init() only clears it.
+// A Yannakakis pipeline over the bags of a join tree or GHD: materialize
+// each bag by hash join with projection pushdown, semijoin-reduce along
+// the tree (bottom-up, then top-down), enumerate. Tuples live in flat
+// row-major arrays, hash state lives in open-addressing FlatTupleSet/Map
+// scratch (src/common/flat_table.h) whose wide keys spill into one
+// reusable Arena, and the join order inside a bag is driven by the CSR
+// column statistics. In steady state an evaluation allocates nothing per
+// tuple: all scratch is thread-local and Init() only clears it.
 // ---------------------------------------------------------------------------
 
 // A materialized bag in flat form. `num_tuples` is tracked separately so
@@ -174,14 +172,14 @@ std::vector<uint32_t> StatsAtomOrder(const std::vector<Atom>& atoms,
 }
 
 // Materializes the distinct projections onto `bag_vars` of the join of
-// `atoms` into `out` (whose vars must be pre-set to bag_vars). Flat
-// pipeline: statistics-ordered build/probe hash joins with projection
-// pushdown; the build side scans only CSR posting lists when the atom
-// has constant columns. Returns false on cancellation (out is invalid).
-bool JoinAndProjectFlat(const std::vector<Atom>& atoms, const Database& db,
-                        const std::vector<VariableId>& bag_vars,
-                        const CancelToken& cancel, CqScratch* scratch,
-                        KernelCounters* counters, FlatBag* out) {
+// `atoms` into `out` (whose vars must be pre-set to bag_vars):
+// statistics-ordered build/probe hash joins with projection pushdown;
+// the build side scans only CSR posting lists when the atom has
+// constant columns. Returns false on cancellation (out is invalid).
+bool JoinAndProject(const std::vector<Atom>& atoms, const Database& db,
+                    const std::vector<VariableId>& bag_vars,
+                    const CancelToken& cancel, CqScratch* scratch,
+                    KernelCounters* counters, FlatBag* out) {
   std::vector<uint32_t> order = StatsAtomOrder(atoms, db);
 
   // Current intermediate relation over cur_vars: starts as the nullary
@@ -395,8 +393,8 @@ bool JoinAndProjectFlat(const std::vector<Atom>& atoms, const Database& db,
 // Semijoin: keep a's tuples whose projection onto `shared` appears among
 // b's projections onto `shared`. In-place compaction; the membership set
 // lives in scratch and the arena is reset afterwards.
-void SemijoinFlat(FlatBag* a, const FlatBag& b,
-                  const std::vector<VariableId>& shared, CqScratch* scratch) {
+void Semijoin(FlatBag* a, const FlatBag& b,
+              const std::vector<VariableId>& shared, CqScratch* scratch) {
   metrics::Bump(metrics::SemijoinPasses());
   if (shared.empty()) {
     if (b.num_tuples == 0) {
@@ -436,14 +434,21 @@ void SemijoinFlat(FlatBag* a, const FlatBag& b,
   scratch->arena.Reset();
 }
 
-// Flat-kernel core: see EvaluateOverBags below for the contract.
-std::vector<Mapping> EvaluateOverBagsFlat(
+// Core of decomposition-based evaluation over pre-translated bags. Bags
+// must cover every atom of `atoms` (each atom's variables inside some
+// bag). Returns distinct projections of satisfying assignments onto
+// `projection` (sorted).
+std::vector<Mapping> EvaluateOverBags(
     const std::vector<Atom>& atoms, const Database& db,
     const std::vector<std::vector<VariableId>>& bag_vars,
     const std::vector<std::vector<uint32_t>>& covers,
     const std::vector<std::pair<uint32_t, uint32_t>>& tree_edges,
     const std::vector<VariableId>& projection, uint64_t max_answers,
     const CancelToken& cancel) {
+  if (bag_vars.empty()) {
+    // All atoms ground (already checked by caller): one empty answer.
+    return {Mapping()};
+  }
   const size_t num_bags = bag_vars.size();
   ScratchLease scratch;
   KernelCounters counters;
@@ -496,8 +501,8 @@ std::vector<Mapping> EvaluateOverBagsFlat(
     }
     WDPT_CHECK(!bag_atoms.empty());
     if (cancel.valid() && cancel.ShouldStop()) return {};
-    if (!JoinAndProjectFlat(bag_atoms, db, bags[bi].vars, cancel, &*scratch,
-                            &counters, &bags[bi])) {
+    if (!JoinAndProject(bag_atoms, db, bags[bi].vars, cancel, &*scratch,
+                        &counters, &bags[bi])) {
       return {};
     }
   }
@@ -534,7 +539,7 @@ std::vector<Mapping> EvaluateOverBagsFlat(
     uint32_t par = parent[child];
     std::vector<VariableId> shared =
         SortedIntersection(bags[par].vars, bags[child].vars);
-    SemijoinFlat(&bags[par], bags[child], shared, &*scratch);
+    Semijoin(&bags[par], bags[child], shared, &*scratch);
   }
   // Top-down: child semijoin parent.
   for (size_t i = 1; i < order.size(); ++i) {
@@ -542,7 +547,7 @@ std::vector<Mapping> EvaluateOverBagsFlat(
     uint32_t par = parent[child];
     std::vector<VariableId> shared =
         SortedIntersection(bags[par].vars, bags[child].vars);
-    SemijoinFlat(&bags[child], bags[par], shared, &*scratch);
+    Semijoin(&bags[child], bags[par], shared, &*scratch);
   }
   for (const FlatBag& bag : bags) {
     if (bag.num_tuples == 0) return {};
@@ -671,225 +676,6 @@ std::vector<Mapping> EvaluateOverBagsFlat(
   return answers;
 }
 
-// ---------------------------------------------------------------------------
-// Legacy kernel (CqKernel::kLegacy)
-//
-// The pre-columnar implementation, kept verbatim as an in-process oracle:
-// tests/kernel_test.cpp diffs its answer sets against the flat kernel's,
-// and bench/bench_kernel.cpp measures the flat kernel's speedup over it.
-// ---------------------------------------------------------------------------
-
-// A materialized bag: variable list (sorted) and tuple set.
-struct Bag {
-  std::vector<VariableId> vars;
-  std::vector<std::vector<ConstantId>> tuples;
-};
-
-size_t TupleHash(const std::vector<ConstantId>& t) {
-  size_t seed = t.size();
-  for (ConstantId c : t) HashCombine(&seed, c);
-  return seed;
-}
-
-struct TupleVecHash {
-  size_t operator()(const std::vector<ConstantId>& t) const {
-    return TupleHash(t);
-  }
-};
-
-// Projects `tuple` (aligned with `vars`) onto `onto` (subset of vars).
-std::vector<ConstantId> Project(const std::vector<VariableId>& vars,
-                                const std::vector<ConstantId>& tuple,
-                                const std::vector<VariableId>& onto) {
-  std::vector<ConstantId> out;
-  out.reserve(onto.size());
-  for (VariableId v : onto) {
-    auto it = std::lower_bound(vars.begin(), vars.end(), v);
-    WDPT_DCHECK(it != vars.end() && *it == v);
-    out.push_back(tuple[static_cast<size_t>(it - vars.begin())]);
-  }
-  return out;
-}
-
-// Semijoin: keep a's tuples whose projection onto `shared` appears among
-// b's projections onto `shared`.
-void SemijoinInto(Bag* a, const Bag& b,
-                  const std::vector<VariableId>& shared) {
-  metrics::Bump(metrics::SemijoinPasses());
-  if (shared.empty()) {
-    if (b.tuples.empty()) a->tuples.clear();
-    return;
-  }
-  std::unordered_set<std::vector<ConstantId>, TupleVecHash> keys;
-  for (const std::vector<ConstantId>& t : b.tuples) {
-    keys.insert(Project(b.vars, t, shared));
-  }
-  std::vector<std::vector<ConstantId>> kept;
-  for (std::vector<ConstantId>& t : a->tuples) {
-    if (keys.contains(Project(a->vars, t, shared))) {
-      kept.push_back(std::move(t));
-    }
-  }
-  a->tuples = std::move(kept);
-}
-
-// Materializes the distinct projections onto `bag_vars` of the join of
-// `atoms`, via iterative build/probe hash joins with projection
-// pushdown: after each atom, variables needed neither by the bag nor by
-// a remaining atom are projected away and duplicates collapse. Work per
-// step is O(|relation| + |output|) rather than backtracking over the
-// full join, so non-adjacent cover atoms cost their projected sizes,
-// not a cross product.
-std::vector<std::vector<ConstantId>> JoinAndProject(
-    const std::vector<Atom>& atoms, const Database& db,
-    const std::vector<VariableId>& bag_vars, const CancelToken& cancel) {
-  // Greedy atom order: prefer atoms sharing variables with what is
-  // already joined.
-  std::vector<uint32_t> order;
-  std::vector<bool> used(atoms.size(), false);
-  std::vector<VariableId> bound;
-  for (size_t step = 0; step < atoms.size(); ++step) {
-    size_t best = atoms.size();
-    int best_shared = -1;
-    for (size_t i = 0; i < atoms.size(); ++i) {
-      if (used[i]) continue;
-      int shared = static_cast<int>(
-          SortedIntersection(atoms[i].Variables(), bound).size());
-      if (shared > best_shared) {
-        best_shared = shared;
-        best = i;
-      }
-    }
-    used[best] = true;
-    order.push_back(static_cast<uint32_t>(best));
-    bound = SortedUnion(bound, atoms[best].Variables());
-  }
-
-  auto var_pos = [](const std::vector<VariableId>& vars, VariableId v) {
-    auto it = std::lower_bound(vars.begin(), vars.end(), v);
-    return (it != vars.end() && *it == v)
-               ? static_cast<int>(it - vars.begin())
-               : -1;
-  };
-
-  // Current intermediate relation: tuples over `cur_vars` (sorted).
-  std::vector<VariableId> cur_vars;
-  std::vector<std::vector<ConstantId>> current = {{}};
-  for (size_t step = 0; step < order.size(); ++step) {
-    if (cancel.valid() && cancel.ShouldStop()) return {};
-    const Atom& atom = atoms[order[step]];
-    std::vector<VariableId> atom_vars = atom.Variables();
-    // Variables needed after this step.
-    std::vector<VariableId> needed = bag_vars;
-    for (size_t later = step + 1; later < order.size(); ++later) {
-      needed = SortedUnion(needed, atoms[order[later]].Variables());
-    }
-    std::vector<VariableId> next_vars =
-        SortedIntersection(SortedUnion(cur_vars, atom_vars), needed);
-    std::vector<VariableId> join_vars =
-        SortedIntersection(atom_vars, cur_vars);
-    // What the atom contributes beyond the join key.
-    std::vector<VariableId> atom_keep =
-        SortedIntersection(SortedDifference(atom_vars, join_vars), needed);
-
-    const Relation& rel = db.relation(atom.relation);
-    if (rel.size() == 0) return {};
-    WDPT_CHECK(rel.arity() == atom.terms.size());
-
-    // Build: key (join_vars values) -> distinct atom_keep projections.
-    std::unordered_map<std::vector<ConstantId>,
-                       std::unordered_set<std::vector<ConstantId>,
-                                          TupleVecHash>,
-                       TupleVecHash>
-        build;
-    for (uint32_t row = 0; row < rel.size(); ++row) {
-      std::span<const ConstantId> fact = rel.Tuple(row);
-      // Derive the atom-local assignment; reject constant or repeated-
-      // variable mismatches.
-      bool ok = true;
-      std::vector<ConstantId> key(join_vars.size());
-      std::vector<ConstantId> keep(atom_keep.size());
-      std::vector<bool> key_set(join_vars.size(), false);
-      std::vector<bool> keep_set(atom_keep.size(), false);
-      for (uint32_t col = 0; col < fact.size() && ok; ++col) {
-        Term t = atom.terms[col];
-        if (t.is_constant()) {
-          ok = t.constant_id() == fact[col];
-          continue;
-        }
-        VariableId v = t.variable_id();
-        int kp = var_pos(join_vars, v);
-        if (kp >= 0) {
-          if (key_set[kp] && key[kp] != fact[col]) ok = false;
-          key[kp] = fact[col];
-          key_set[kp] = true;
-        }
-        int pp = var_pos(atom_keep, v);
-        if (pp >= 0) {
-          if (keep_set[pp] && keep[pp] != fact[col]) ok = false;
-          keep[pp] = fact[col];
-          keep_set[pp] = true;
-        }
-        // Repeated variables that are neither key nor kept must still
-        // agree across columns.
-        for (uint32_t c2 = col + 1; c2 < fact.size() && ok; ++c2) {
-          if (atom.terms[c2].is_variable() &&
-              atom.terms[c2].variable_id() == v && fact[c2] != fact[col]) {
-            ok = false;
-          }
-        }
-      }
-      if (ok) build[std::move(key)].insert(std::move(keep));
-    }
-    if (build.empty()) return {};
-
-    // Probe.
-    std::unordered_set<std::vector<ConstantId>, TupleVecHash> next_set;
-    std::vector<int> cur_to_next(cur_vars.size());
-    for (size_t i = 0; i < cur_vars.size(); ++i) {
-      cur_to_next[i] = var_pos(next_vars, cur_vars[i]);
-    }
-    std::vector<int> keep_to_next(atom_keep.size());
-    for (size_t i = 0; i < atom_keep.size(); ++i) {
-      keep_to_next[i] = var_pos(next_vars, atom_keep[i]);
-    }
-    std::vector<int> cur_key_pos(join_vars.size());
-    for (size_t i = 0; i < join_vars.size(); ++i) {
-      cur_key_pos[i] = var_pos(cur_vars, join_vars[i]);
-      WDPT_CHECK(cur_key_pos[i] >= 0);
-    }
-    uint64_t probes = 0;
-    for (const std::vector<ConstantId>& tuple : current) {
-      if (cancel.valid() && (++probes & 0xFFF) == 0 && cancel.ShouldStop()) {
-        return {};
-      }
-      std::vector<ConstantId> key(join_vars.size());
-      for (size_t i = 0; i < join_vars.size(); ++i) {
-        key[i] = tuple[cur_key_pos[i]];
-      }
-      auto it = build.find(key);
-      if (it == build.end()) continue;
-      for (const std::vector<ConstantId>& keep : it->second) {
-        std::vector<ConstantId> next_tuple(next_vars.size());
-        for (size_t i = 0; i < cur_vars.size(); ++i) {
-          if (cur_to_next[i] >= 0) next_tuple[cur_to_next[i]] = tuple[i];
-        }
-        for (size_t i = 0; i < atom_keep.size(); ++i) {
-          if (keep_to_next[i] >= 0) next_tuple[keep_to_next[i]] = keep[i];
-        }
-        next_set.insert(std::move(next_tuple));
-      }
-    }
-    cur_vars = std::move(next_vars);
-    current.assign(next_set.begin(), next_set.end());
-    if (current.empty()) return {};
-  }
-  // `current` is over cur_vars == bag_vars (every atom processed and the
-  // projection target is exactly the bag).
-  WDPT_CHECK(cur_vars == bag_vars);
-  return current;
-}
-
 // Separates ground atoms (checked directly) from variable atoms.
 bool CheckAndStripGroundAtoms(const std::vector<Atom>& atoms,
                               const Database& db,
@@ -908,229 +694,13 @@ bool CheckAndStripGroundAtoms(const std::vector<Atom>& atoms,
   return true;
 }
 
-// Legacy-kernel core of decomposition-based evaluation (see
-// EvaluateOverBags for the contract).
-std::vector<Mapping> EvaluateOverBagsLegacy(
-    const std::vector<Atom>& atoms, const Database& db,
-    const std::vector<std::vector<VariableId>>& bag_vars,
-    const std::vector<std::vector<uint32_t>>& covers,
-    const std::vector<std::pair<uint32_t, uint32_t>>& tree_edges,
-    const std::vector<VariableId>& projection, uint64_t max_answers,
-    const CancelToken& cancel) {
-  const size_t num_bags = bag_vars.size();
-
-  // Assign every atom to some bag containing its variables.
-  std::vector<std::vector<uint32_t>> assigned(num_bags);
-  for (uint32_t ai = 0; ai < atoms.size(); ++ai) {
-    std::vector<VariableId> avars = atoms[ai].Variables();
-    bool placed = false;
-    for (uint32_t bi = 0; bi < num_bags && !placed; ++bi) {
-      if (SortedIsSubset(avars, bag_vars[bi])) {
-        assigned[bi].push_back(ai);
-        placed = true;
-      }
-    }
-    WDPT_CHECK(placed);
-  }
-
-  // Materialize bags: join of cover atoms + assigned atoms, projected to
-  // the bag's variables.
-  std::vector<Bag> bags(num_bags);
-  for (uint32_t bi = 0; bi < num_bags; ++bi) {
-    bags[bi].vars = bag_vars[bi];
-    std::vector<Atom> bag_atoms;
-    std::vector<uint32_t> atom_ids = covers.empty()
-                                         ? std::vector<uint32_t>()
-                                         : covers[bi];
-    for (uint32_t ai : assigned[bi]) atom_ids.push_back(ai);
-    SortUnique(&atom_ids);
-    for (uint32_t ai : atom_ids) bag_atoms.push_back(atoms[ai]);
-    // Ensure every bag variable is mentioned by some bag atom (a bag may
-    // hold interface variables whose atoms were assigned elsewhere, e.g.
-    // in decompositions glued from per-node pieces): add the first atom
-    // mentioning each uncovered variable.
-    {
-      std::vector<VariableId> covered = VariablesOf(bag_atoms);
-      for (VariableId v : bags[bi].vars) {
-        if (SortedContains(covered, v)) continue;
-        bool found = false;
-        for (const Atom& a : atoms) {
-          if (a.Mentions(v)) {
-            bag_atoms.push_back(a);
-            covered = SortedUnion(covered, a.Variables());
-            found = true;
-            break;
-          }
-        }
-        WDPT_CHECK(found);  // Safe queries mention every variable.
-      }
-    }
-    WDPT_CHECK(!bag_atoms.empty());
-    if (cancel.valid() && cancel.ShouldStop()) return {};
-    bags[bi].tuples = JoinAndProject(bag_atoms, db, bags[bi].vars, cancel);
-  }
-
-  // Root the tree and run the full reducer (bottom-up then top-down
-  // semijoins).
-  std::vector<std::vector<uint32_t>> tree_adj(num_bags);
-  for (const auto& [a, b] : tree_edges) {
-    tree_adj[a].push_back(b);
-    tree_adj[b].push_back(a);
-  }
-  std::vector<uint32_t> parent(num_bags, 0), order;
-  {
-    std::vector<bool> seen(num_bags, false);
-    std::vector<uint32_t> stack = {0};
-    seen[0] = true;
-    while (!stack.empty()) {
-      uint32_t cur = stack.back();
-      stack.pop_back();
-      order.push_back(cur);
-      for (uint32_t next : tree_adj[cur]) {
-        if (!seen[next]) {
-          seen[next] = true;
-          parent[next] = cur;
-          stack.push_back(next);
-        }
-      }
-    }
-    WDPT_CHECK(order.size() == num_bags);  // Tree edges must connect bags.
-  }
-  // Bottom-up: parent semijoin child.
-  for (size_t i = order.size(); i-- > 1;) {
-    uint32_t child = order[i];
-    uint32_t par = parent[child];
-    std::vector<VariableId> shared =
-        SortedIntersection(bags[par].vars, bags[child].vars);
-    SemijoinInto(&bags[par], bags[child], shared);
-  }
-  // Top-down: child semijoin parent.
-  for (size_t i = 1; i < order.size(); ++i) {
-    uint32_t child = order[i];
-    uint32_t par = parent[child];
-    std::vector<VariableId> shared =
-        SortedIntersection(bags[par].vars, bags[child].vars);
-    SemijoinInto(&bags[child], bags[par], shared);
-  }
-  for (const Bag& bag : bags) {
-    if (bag.tuples.empty()) return {};
-  }
-
-  // Enumerate: DFS in top-down order with per-bag hash indexes on the
-  // variables shared with the parent.
-  std::vector<std::vector<VariableId>> shared_with_parent(num_bags);
-  std::vector<std::unordered_map<std::vector<ConstantId>,
-                                 std::vector<uint32_t>, TupleVecHash>>
-      index(num_bags);
-  for (size_t i = 1; i < order.size(); ++i) {
-    uint32_t child = order[i];
-    shared_with_parent[child] =
-        SortedIntersection(bags[parent[child]].vars, bags[child].vars);
-    for (uint32_t ti = 0; ti < bags[child].tuples.size(); ++ti) {
-      index[child][Project(bags[child].vars, bags[child].tuples[ti],
-                           shared_with_parent[child])]
-          .push_back(ti);
-    }
-  }
-
-  std::unordered_set<Mapping, MappingHash> seen_answers;
-  std::vector<Mapping> answers;
-  // Current assignment across bags.
-  std::unordered_map<VariableId, ConstantId> assignment;
-  bool done = false;
-
-  uint64_t dfs_steps = 0;
-  std::function<void(size_t)> dfs = [&](size_t pos) {
-    if (done) return;
-    if (cancel.valid() && (++dfs_steps & 0xFFF) == 0 && cancel.ShouldStop()) {
-      done = true;
-      return;
-    }
-    if (pos == order.size()) {
-      std::vector<Mapping::Entry> entries;
-      for (VariableId v : projection) {
-        auto it = assignment.find(v);
-        WDPT_CHECK(it != assignment.end());
-        entries.emplace_back(v, it->second);
-      }
-      Mapping answer(std::move(entries));
-      if (seen_answers.insert(answer).second) {
-        answers.push_back(std::move(answer));
-        if (max_answers != 0 && answers.size() >= max_answers) done = true;
-      }
-      return;
-    }
-    uint32_t bi = order[pos];
-    const Bag& bag = bags[bi];
-    auto try_tuple = [&](uint32_t ti) {
-      const std::vector<ConstantId>& tuple = bag.tuples[ti];
-      std::vector<VariableId> newly;
-      bool ok = true;
-      for (size_t i = 0; i < bag.vars.size(); ++i) {
-        auto [it, inserted] = assignment.emplace(bag.vars[i], tuple[i]);
-        if (inserted) {
-          newly.push_back(bag.vars[i]);
-        } else if (it->second != tuple[i]) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) dfs(pos + 1);
-      for (VariableId v : newly) assignment.erase(v);
-    };
-    if (pos == 0) {
-      for (uint32_t ti = 0; ti < bag.tuples.size() && !done; ++ti) {
-        try_tuple(ti);
-      }
-    } else {
-      std::vector<ConstantId> key;
-      key.reserve(shared_with_parent[bi].size());
-      for (VariableId v : shared_with_parent[bi]) {
-        key.push_back(assignment.at(v));
-      }
-      auto it = index[bi].find(key);
-      if (it == index[bi].end()) return;
-      for (uint32_t ti : it->second) {
-        if (done) return;
-        try_tuple(ti);
-      }
-    }
-  };
-  dfs(0);
-  return answers;
-}
-
-// Core of decomposition-based evaluation over pre-translated bags. Bags
-// must cover every atom of `atoms` (each atom's variables inside some
-// bag). Returns distinct projections of satisfying assignments onto
-// `projection` (sorted). Both kernels compute the same answer set; they
-// may emit it in different orders.
-std::vector<Mapping> EvaluateOverBags(
-    const std::vector<Atom>& atoms, const Database& db,
-    const std::vector<std::vector<VariableId>>& bag_vars,
-    const std::vector<std::vector<uint32_t>>& covers,
-    const std::vector<std::pair<uint32_t, uint32_t>>& tree_edges,
-    const std::vector<VariableId>& projection, uint64_t max_answers,
-    const CancelToken& cancel, CqKernel kernel) {
-  if (bag_vars.empty()) {
-    // All atoms ground (already checked by caller): one empty answer.
-    return {Mapping()};
-  }
-  if (ResolveCqKernel(kernel) == CqKernel::kLegacy) {
-    return EvaluateOverBagsLegacy(atoms, db, bag_vars, covers, tree_edges,
-                                  projection, max_answers, cancel);
-  }
-  return EvaluateOverBagsFlat(atoms, db, bag_vars, covers, tree_edges,
-                              projection, max_answers, cancel);
-}
-
 }  // namespace
 
 std::vector<Mapping> EvaluateWithDecomposition(
     const ConjunctiveQuery& q, const Database& db,
     const HypertreeDecomposition& hd,
     const std::vector<VariableId>& vertex_to_var, uint64_t max_answers,
-    const CancelToken& cancel, CqKernel kernel) {
+    const CancelToken& cancel) {
   std::vector<Atom> with_vars;
   if (!CheckAndStripGroundAtoms(q.atoms, db, &with_vars)) return {};
   // Translate bags from dense vertex ids to variable ids. Covers refer to
@@ -1155,14 +725,13 @@ std::vector<Mapping> EvaluateWithDecomposition(
     }
   }
   return EvaluateOverBags(with_vars, db, bag_vars, covers, hd.td.edges,
-                          q.free_vars, max_answers, cancel, kernel);
+                          q.free_vars, max_answers, cancel);
 }
 
 std::optional<std::vector<Mapping>> EvaluateAcyclic(const ConjunctiveQuery& q,
                                                     const Database& db,
                                                     uint64_t max_answers,
-                                                    const CancelToken& cancel,
-                                                    CqKernel kernel) {
+                                                    const CancelToken& cancel) {
   std::vector<VariableId> vertex_to_var;
   Hypergraph h = q.BuildHypergraph(&vertex_to_var);
   JoinTree jt = GyoJoinTree(h);
@@ -1207,7 +776,7 @@ std::optional<std::vector<Mapping>> EvaluateAcyclic(const ConjunctiveQuery& q,
     }
   }
   return EvaluateOverBags(with_vars, db, bag_vars, covers, edges,
-                          q.free_vars, max_answers, cancel, kernel);
+                          q.free_vars, max_answers, cancel);
 }
 
 bool DecideNonEmpty(const std::vector<Atom>& atoms, const Database& db,
@@ -1228,8 +797,7 @@ bool DecideNonEmpty(const std::vector<Atom>& atoms, const Database& db,
   }
 
   std::optional<std::vector<Mapping>> acyclic =
-      EvaluateAcyclic(boolean_q, db, /*max_answers=*/1, options.cancel,
-                      options.kernel);
+      EvaluateAcyclic(boolean_q, db, /*max_answers=*/1, options.cancel);
   if (acyclic.has_value()) return !acyclic->empty();
 
   std::vector<VariableId> vertex_to_var;
@@ -1240,8 +808,7 @@ bool DecideNonEmpty(const std::vector<Atom>& atoms, const Database& db,
           FindHypertreeDecomposition(h, k);
       if (hd.has_value()) {
         return !EvaluateWithDecomposition(boolean_q, db, *hd, vertex_to_var,
-                                          /*max_answers=*/1, options.cancel,
-                                          options.kernel)
+                                          /*max_answers=*/1, options.cancel)
                     .empty();
       }
     }
@@ -1256,8 +823,7 @@ bool DecideNonEmpty(const std::vector<Atom>& atoms, const Database& db,
     hd.td = std::move(td);
     hd.covers.assign(hd.td.bags.size(), {});
     return !EvaluateWithDecomposition(boolean_q, db, hd, vertex_to_var,
-                                      /*max_answers=*/1, options.cancel,
-                                      options.kernel)
+                                      /*max_answers=*/1, options.cancel)
                 .empty();
   }
   // kAuto fallback.
@@ -1280,8 +846,7 @@ std::vector<Mapping> EvaluateCq(const ConjunctiveQuery& q, const Database& db,
   WDPT_CHECK(q.IsSafe());
   if (options.strategy != CqEvalStrategy::kBacktracking) {
     std::optional<std::vector<Mapping>> acyclic =
-        EvaluateAcyclic(q, db, options.max_answers, options.cancel,
-                        options.kernel);
+        EvaluateAcyclic(q, db, options.max_answers, options.cancel);
     if (acyclic.has_value()) return std::move(*acyclic);
     std::vector<VariableId> vertex_to_var;
     Hypergraph hypergraph = q.BuildHypergraph(&vertex_to_var);
@@ -1292,7 +857,7 @@ std::vector<Mapping> EvaluateCq(const ConjunctiveQuery& q, const Database& db,
         if (hd.has_value()) {
           return EvaluateWithDecomposition(q, db, *hd, vertex_to_var,
                                            options.max_answers,
-                                           options.cancel, options.kernel);
+                                           options.cancel);
         }
       }
     }

@@ -5,7 +5,10 @@
 // paper: CQ-EVAL(TW(k)) and CQ-EVAL(HW(k)) run in polynomial time for
 // fixed k (the LOGCFL refinement is a parallel-complexity statement; the
 // observable consequence is the polynomial data complexity demonstrated
-// in the benches).
+// in the benches). Acyclic and GHD evaluation share one bag kernel, the
+// columnar flat-hash Yannakakis pipeline in evaluation.cpp. The
+// backtracking search (src/cq/homomorphism.h) is the independent
+// evaluator that tests and `bench_kernel --check` compare it against.
 
 #ifndef WDPT_SRC_CQ_EVALUATION_H_
 #define WDPT_SRC_CQ_EVALUATION_H_
@@ -16,7 +19,6 @@
 
 #include "src/common/cancellation.h"
 #include "src/cq/cq.h"
-#include "src/cq/kernel.h"
 #include "src/hypergraph/hypertree.h"
 #include "src/relational/database.h"
 #include "src/relational/mapping.h"
@@ -45,10 +47,6 @@ struct CqEvalOptions {
   /// must distinguish "stopped" from "empty" (the Engine) inspect the
   /// token afterwards and surface kCancelled / kDeadlineExceeded.
   CancelToken cancel;
-  /// Which decomposition-evaluation kernel to run (src/cq/kernel.h).
-  /// Both kernels produce the same answer set; kLegacy exists for
-  /// differential testing and before/after benchmarking.
-  CqKernel kernel = CqKernel::kDefault;
 };
 
 /// True iff h (defined exactly on the free variables) is an answer:
@@ -75,15 +73,13 @@ std::vector<Mapping> EvaluateWithDecomposition(
     const ConjunctiveQuery& q, const Database& db,
     const HypertreeDecomposition& hd,
     const std::vector<VariableId>& vertex_to_var, uint64_t max_answers = 0,
-    const CancelToken& cancel = CancelToken(),
-    CqKernel kernel = CqKernel::kDefault);
+    const CancelToken& cancel = CancelToken());
 
 /// Yannakakis-style evaluation for alpha-acyclic queries. Returns nullopt
 /// if the query's hypergraph is not acyclic.
 std::optional<std::vector<Mapping>> EvaluateAcyclic(
     const ConjunctiveQuery& q, const Database& db, uint64_t max_answers = 0,
-    const CancelToken& cancel = CancelToken(),
-    CqKernel kernel = CqKernel::kDefault);
+    const CancelToken& cancel = CancelToken());
 
 }  // namespace wdpt
 

@@ -22,8 +22,7 @@ class Searcher {
       : atoms_(atoms),
         db_(db),
         callback_(callback),
-        limits_(limits),
-        order_(ResolveHomOrder(limits.order)) {
+        limits_(limits) {
     // Size the dense assignment from the maximum variable id seen.
     uint32_t max_var = 0;
     for (const Atom& a : atoms_) {
@@ -74,15 +73,6 @@ class Searcher {
     return assignment_[t.variable_id()];
   }
 
-  // Number of bound positions in atom under the current assignment.
-  int BoundPositions(const Atom& atom) const {
-    int bound = 0;
-    for (uint32_t col = 0; col < atom.terms.size(); ++col) {
-      if (BoundValue(atom, col) != kUnbound) ++bound;
-    }
-    return bound;
-  }
-
   // CSR-statistics fan-out estimate for matching `atom` now: relation
   // size scaled by 1/distinct for every bound column (independence
   // assumption). Empty relations estimate 0 — a certain dead branch is
@@ -99,34 +89,17 @@ class Searcher {
     return est;
   }
 
-  // The most constrained remaining atom. Legacy order: maximum bound
-  // positions, tie-break on smaller relation. Stats order: minimum
-  // estimated fan-out from the CSR statistics (ties on atom index).
+  // The most constrained remaining atom: minimum estimated fan-out from
+  // the CSR statistics (ties on atom index).
   size_t PickAtom() const {
     size_t best = atoms_.size();
-    if (order_ == HomOrder::kStats) {
-      double best_est = 0.0;
-      for (size_t i = 0; i < atoms_.size(); ++i) {
-        if (done_[i]) continue;
-        double est = EstimatedFanOut(atoms_[i]);
-        if (best == atoms_.size() || est < best_est) {
-          best = i;
-          best_est = est;
-        }
-      }
-    } else {
-      int best_bound = -1;
-      size_t best_size = 0;
-      for (size_t i = 0; i < atoms_.size(); ++i) {
-        if (done_[i]) continue;
-        int bound = BoundPositions(atoms_[i]);
-        size_t rel_size = db_.relation(atoms_[i].relation).size();
-        if (best == atoms_.size() || bound > best_bound ||
-            (bound == best_bound && rel_size < best_size)) {
-          best = i;
-          best_bound = bound;
-          best_size = rel_size;
-        }
+    double best_est = 0.0;
+    for (size_t i = 0; i < atoms_.size(); ++i) {
+      if (done_[i]) continue;
+      double est = EstimatedFanOut(atoms_[i]);
+      if (best == atoms_.size() || est < best_est) {
+        best = i;
+        best_est = est;
       }
     }
     return best;
@@ -224,7 +197,7 @@ class Searcher {
       }
       return;
     }
-    if (num_bound >= 2 && order_ == HomOrder::kStats && !first.empty()) {
+    if (num_bound >= 2 && !first.empty()) {
       ++gallops_;
       scratch.rows.clear();
       GallopIntersect(first, second, &scratch.rows);
@@ -234,7 +207,7 @@ class Searcher {
       }
       return;
     }
-    // Single bound column (or legacy order): walk the shortest list.
+    // One bound column, or an empty shortest list: walk the shortest list.
     // The span stays valid: the database is not mutated mid-search.
     for (uint32_t row : first) {
       if (stopped_ || aborted_) return;
@@ -256,7 +229,6 @@ class Searcher {
   const Database& db_;
   const HomCallback& callback_;
   HomSearchLimits limits_;
-  HomOrder order_;
   std::vector<uint64_t> assignment_;
   std::vector<VariableId> report_vars_;
   std::vector<bool> done_;

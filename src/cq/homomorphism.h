@@ -3,10 +3,11 @@
 // This is the workhorse used by CQ evaluation, WDPT evaluation, canonical-
 // database containment tests, and the subsumption machinery. Candidate
 // tuples are located through the database's CSR column indexes; atoms are
-// ordered by estimated fan-out from the per-column statistics (HomOrder::
-// kStats, the default), with multi-column bindings narrowed by a galloping
-// posting-list intersection. The pre-statistics ordering survives as
-// HomOrder::kLegacy for differential testing and benchmarking.
+// ordered by estimated fan-out from the per-column statistics, with
+// multi-column bindings narrowed by a galloping posting-list
+// intersection. It shares no join code with the decomposition kernel of
+// src/cq/evaluation.h, so each serves as the other's reference in the
+// differential tests.
 
 #ifndef WDPT_SRC_CQ_HOMOMORPHISM_H_
 #define WDPT_SRC_CQ_HOMOMORPHISM_H_
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "src/common/cancellation.h"
-#include "src/cq/kernel.h"
 #include "src/relational/atom.h"
 #include "src/relational/database.h"
 #include "src/relational/mapping.h"
@@ -32,9 +32,6 @@ struct HomSearchLimits {
   /// Cooperative cancellation; polled periodically during backtracking.
   /// A fired token aborts the search like a hit step limit.
   CancelToken cancel;
-  /// Atom ordering / access-path policy (src/cq/kernel.h). Both choices
-  /// enumerate the same homomorphism set, possibly in different orders.
-  HomOrder order = HomOrder::kDefault;
 };
 
 /// Invoked for every found homomorphism, restricted to the variables of

@@ -9,6 +9,11 @@ namespace wdpt::sparql {
 
 namespace {
 
+// Deepest nesting of parenthesised groups a query may have. The parser
+// recurses once per level, so the cap turns a hostile query into a
+// parse error instead of a stack overflow.
+constexpr int kMaxNestingDepth = 1000;
+
 // Intermediate pattern forest: a bag of root atoms plus optional child
 // forests (one per OPT branch).
 struct PatternForest {
@@ -103,7 +108,12 @@ class Parser {
       return ParseTriple();
     }
     ++pos_;  // '('
+    if (++depth_ > kMaxNestingDepth) {
+      return Error("groups nested deeper than " +
+                   std::to_string(kMaxNestingDepth) + " levels");
+    }
     Result<PatternForest> inner = ParseExpr();
+    --depth_;
     if (!inner.ok()) return inner;
     if (Peek().kind != TokenKind::kRParen) {
       return Error("expected ')'");
@@ -149,6 +159,7 @@ class Parser {
   std::vector<Token> tokens_;
   RdfContext* ctx_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Groups open around the current position.
 };
 
 }  // namespace

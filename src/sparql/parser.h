@@ -11,7 +11,8 @@
 // labels and concatenates child lists; OPT attaches the right operand's
 // tree as an additional child of the left operand's root. The result is
 // validated; non-well-designed inputs are rejected with
-// kNotWellDesigned.
+// kNotWellDesigned. Groups ('(' expr ')') nested more than 1,000 deep
+// are a parse error.
 
 #ifndef WDPT_SRC_SPARQL_PARSER_H_
 #define WDPT_SRC_SPARQL_PARSER_H_

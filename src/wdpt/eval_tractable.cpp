@@ -17,7 +17,9 @@ class TractableEvaluator {
  public:
   TractableEvaluator(const PatternTree& tree, const Database& db,
                      const Mapping& h, const CqEvalOptions& options)
-      : tree_(tree), db_(db), h_(h), options_(options) {}
+      : tree_(tree), db_(db), h_(h), options_(options) {
+    hom_limits_.cancel = options.cancel;
+  }
 
   Result<bool> Run() {
     std::vector<VariableId> dom = h_.Domain();
@@ -32,15 +34,23 @@ class TractableEvaluator {
 
     status_.resize(tree_.num_nodes());
     // Children have larger ids than parents: reverse order is bottom-up.
+    // Once the token fires, every frontier check answers "not
+    // enterable", so the tables stop meaning anything: stop at once.
     for (NodeId n = static_cast<NodeId>(tree_.num_nodes()); n-- > 0;) {
+      if (Stopped()) return false;
       if (admissible_[n]) ComputeNodeStatuses(n);
     }
+    if (Stopped()) return false;
     auto it = status_[PatternTree::kRoot].find(Mapping());
     return it != status_[PatternTree::kRoot].end() &&
            it->second == NodeStatus::kGood;
   }
 
  private:
+  bool Stopped() const {
+    return options_.cancel.valid() && options_.cancel.ShouldStop();
+  }
+
   // Existential variables shared between the labels of n and its parent.
   std::vector<VariableId> ExistentialParentInterface(NodeId n) const {
     return SortedDifference(tree_.ParentInterface(n), tree_.free_vars());
@@ -91,7 +101,9 @@ class TractableEvaluator {
     // h-consistent homomorphisms and combine child statuses.
     std::unordered_set<Mapping, MappingHash> good;
     for (const Mapping& joint_g : AllHomomorphismProjections(
-             tree_.label(t), db_, good_seed, joint)) {
+             tree_.label(t), db_, good_seed, joint, /*max_results=*/0,
+             hom_limits_)) {
+      if (Stopped()) return;
       bool ok = true;
       for (NodeId d : tree_.children(t)) {
         // The full interface assignment a child sees: the joint
@@ -125,9 +137,12 @@ class TractableEvaluator {
     Mapping enter_seed = h_.RestrictTo(FreeParentInterface(t));
     std::unordered_map<Mapping, NodeStatus, MappingHash>& table = status_[t];
     for (const Mapping& g : AllHomomorphismProjections(
-             tree_.label(t), db_, enter_seed, upward)) {
+             tree_.label(t), db_, enter_seed, upward, /*max_results=*/0,
+             hom_limits_)) {
       table.emplace(g, NodeStatus::kBad);
     }
+    // A search the token cut short may have missed rows of `good`.
+    if (Stopped()) return;
     for (const Mapping& g : good) {
       auto it = table.find(g);
       WDPT_CHECK(it != table.end());
@@ -145,6 +160,7 @@ class TractableEvaluator {
   const Database& db_;
   const Mapping& h_;
   CqEvalOptions options_;
+  HomSearchLimits hom_limits_;
   SubtreeMask mandatory_;
   SubtreeMask admissible_;
   std::vector<std::unordered_map<Mapping, NodeStatus, MappingHash>> status_;

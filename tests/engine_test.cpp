@@ -337,6 +337,48 @@ TEST(EngineDeadline, MaximalEnumerationStopsNearItsDeadline) {
   EXPECT_EQ(engine.stats().deadline_exceeded, 1u);
 }
 
+TEST(EngineDeadline, TractableDpStopsNearItsDeadline) {
+  // EVAL on the Proposition 3 (3-colourability) family, grown from 8
+  // graph vertices until an unbounded call takes P >= 100 ms. A deadline
+  // at P/4 must return kDeadlineExceeded before P/2, under the Theorem 6
+  // DP and under kAuto. The bounds are relative, so they hold under
+  // sanitizers too.
+  using Clock = std::chrono::steady_clock;
+  for (EvalAlgorithm algorithm :
+       {EvalAlgorithm::kTractableDP, EvalAlgorithm::kAuto}) {
+    for (uint32_t n = 8;; ++n) {
+      ASSERT_LE(n, 16u) << "the family never took 100 ms";
+      Schema schema;
+      Vocabulary vocab;
+      gen::ThreeColInstance inst = gen::MakeThreeColInstance(
+          gen::MakeRandomUndirectedGraph(n, 2 * n, /*seed=*/n), &schema,
+          &vocab, /*tag=*/n);
+      Engine engine;
+      CallOptions options;
+      options.algorithm = algorithm;
+      auto timed = [&](Result<bool>* result) {
+        Clock::time_point start = Clock::now();
+        *result = engine.Eval(inst.tree, inst.db, inst.h, options);
+        return std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now() - start);
+      };
+      Result<bool> verdict = false;
+      std::chrono::nanoseconds p = timed(&verdict);
+      ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+      if (p < std::chrono::milliseconds(100)) continue;
+
+      options.deadline = p / 4;
+      std::chrono::nanoseconds elapsed = timed(&verdict);
+      ASSERT_FALSE(verdict.ok()) << "n=" << n;
+      EXPECT_EQ(verdict.status().code(), StatusCode::kDeadlineExceeded);
+      EXPECT_LT(elapsed, p / 2)
+          << "n=" << n << " P=" << p.count() << "ns algorithm "
+          << static_cast<int>(algorithm);
+      break;
+    }
+  }
+}
+
 TEST(EngineDeadline, BatchReportsFirstFailureInIndexOrder) {
   RdfContext ctx;
   PatternTree tree = MakeFigure1Tree(&ctx);

@@ -1,8 +1,9 @@
 // Tests for the columnar join kernel: the flat hash tables and arena,
 // CSR column indexes (against naive scans), galloping intersection, the
 // stale-flag / Freeze index lifecycle, and randomized differentials
-// pinning the flat kernel and the statistics-driven atom order to the
-// legacy implementations' answer sets.
+// pinning the decomposition (bag) kernel to the backtracking
+// homomorphism search, two evaluators that share no join code, and the
+// projection-aware WDPT enumerator to full enumeration.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,6 @@
 #include "src/cq/cq.h"
 #include "src/cq/evaluation.h"
 #include "src/cq/homomorphism.h"
-#include "src/cq/kernel.h"
 #include "src/gen/cq_gen.h"
 #include "src/gen/db_gen.h"
 #include "src/relational/database.h"
@@ -363,12 +363,18 @@ TEST_F(CsrFixture, FreezePublishesAndCloneUnfreezes) {
 }
 
 // ---------------------------------------------------------------------
-// Differential: flat kernel and stats order vs the legacy paths
+// Differential: the bag kernel vs the backtracking search
 // ---------------------------------------------------------------------
 
 std::vector<Mapping> Sorted(std::vector<Mapping> ms) {
   std::sort(ms.begin(), ms.end());
   return ms;
+}
+
+CqEvalOptions WithStrategy(CqEvalStrategy strategy) {
+  CqEvalOptions options;
+  options.strategy = strategy;
+  return options;
 }
 
 class DifferentialFixture : public ::testing::Test {
@@ -402,14 +408,12 @@ TEST_F(DifferentialFixture, AcyclicEvaluationIdenticalAnswerSets) {
     for (uint32_t len : {2u, 3u, 4u}) {
       ConjunctiveQuery q =
           PathQuery(len, "s" + std::to_string(seed) + "l" + std::to_string(len));
-      std::optional<std::vector<Mapping>> legacy = EvaluateAcyclic(
-          q, db, /*max_answers=*/0, CancelToken(), CqKernel::kLegacy);
-      std::optional<std::vector<Mapping>> flat = EvaluateAcyclic(
-          q, db, /*max_answers=*/0, CancelToken(), CqKernel::kFlat);
-      ASSERT_TRUE(legacy.has_value());
-      ASSERT_TRUE(flat.has_value());
-      ASSERT_FALSE(legacy->empty());
-      ASSERT_EQ(Sorted(*legacy), Sorted(*flat))
+      std::optional<std::vector<Mapping>> bags = EvaluateAcyclic(q, db);
+      std::vector<Mapping> reference =
+          EvaluateCq(q, db, WithStrategy(CqEvalStrategy::kBacktracking));
+      ASSERT_TRUE(bags.has_value());
+      ASSERT_FALSE(reference.empty());
+      ASSERT_EQ(Sorted(*bags), Sorted(reference))
           << "seed " << seed << " len " << len;
     }
   }
@@ -417,7 +421,7 @@ TEST_F(DifferentialFixture, AcyclicEvaluationIdenticalAnswerSets) {
 
 TEST_F(DifferentialFixture, DecompositionEvaluationIdenticalAnswerSets) {
   // Cycles are not acyclic: this exercises EvaluateWithDecomposition
-  // (GHD of width 2) under both kernels.
+  // (GHD of width 2).
   RelationId edge_rel;
   Database db = MakeGraph(40, 160, 9, &edge_rel);
   for (uint32_t len : {3u, 4u, 5u}) {
@@ -425,39 +429,40 @@ TEST_F(DifferentialFixture, DecompositionEvaluationIdenticalAnswerSets) {
         gen::MakeCycleCq(&schema_, &vocab_, len, "c" + std::to_string(len));
     q.free_vars = {q.atoms.front().terms[0].variable_id()};
     q.Normalize();
-    CqEvalOptions legacy_opts, flat_opts;
-    legacy_opts.strategy = flat_opts.strategy = CqEvalStrategy::kDecomposition;
-    legacy_opts.kernel = CqKernel::kLegacy;
-    flat_opts.kernel = CqKernel::kFlat;
-    ASSERT_EQ(Sorted(EvaluateCq(q, db, legacy_opts)),
-              Sorted(EvaluateCq(q, db, flat_opts)))
+    uint64_t passes = metrics::Load(metrics::SemijoinPasses());
+    std::vector<Mapping> bags =
+        EvaluateCq(q, db, WithStrategy(CqEvalStrategy::kDecomposition));
+    EXPECT_GT(metrics::Load(metrics::SemijoinPasses()), passes)
+        << "the bag kernel never ran on a cycle of length " << len;
+    ASSERT_EQ(Sorted(bags),
+              Sorted(EvaluateCq(q, db,
+                                WithStrategy(CqEvalStrategy::kBacktracking))))
         << "cycle length " << len;
   }
 }
 
 TEST_F(DifferentialFixture, HomSearchOrdersEnumerateSameSet) {
   // Triangle query: once two variables are bound, the third atom has two
-  // bound columns — the stats order takes the galloping path.
+  // bound columns, so the search takes the galloping path. With every
+  // variable free, the bag kernel's answers are the homomorphisms.
   RelationId edge_rel;
   Database db = MakeGraph(50, 300, 31, &edge_rel);
   ConjunctiveQuery q = gen::MakeCycleCq(&schema_, &vocab_, 3, "t");
-  auto collect = [&](HomOrder order) {
-    HomSearchLimits limits;
-    limits.order = order;
-    std::vector<Mapping> found;
-    EXPECT_TRUE(ForEachHomomorphism(q.atoms, db, Mapping(),
-                                    [&](const Mapping& m) {
-                                      found.push_back(m);
-                                      return true;
-                                    },
-                                    limits));
-    return Sorted(std::move(found));
-  };
-  std::vector<Mapping> legacy = collect(HomOrder::kLegacy);
-  std::vector<Mapping> stats = collect(HomOrder::kStats);
-  ASSERT_EQ(legacy, stats);
+  q.free_vars = q.AllVariables();
+  q.Normalize();
   uint64_t gallops = metrics::Load(metrics::GallopIntersections());
-  EXPECT_GT(gallops, 0u) << "stats order never galloped on a triangle";
+  std::vector<Mapping> found;
+  EXPECT_TRUE(ForEachHomomorphism(q.atoms, db, Mapping(),
+                                  [&](const Mapping& m) {
+                                    found.push_back(m);
+                                    return true;
+                                  }));
+  EXPECT_GT(metrics::Load(metrics::GallopIntersections()), gallops)
+      << "the search never galloped on a triangle";
+  ASSERT_FALSE(found.empty());
+  ASSERT_EQ(Sorted(std::move(found)),
+            Sorted(EvaluateCq(q, db,
+                              WithStrategy(CqEvalStrategy::kDecomposition))));
 }
 
 TEST_F(DifferentialFixture, RandomCqsAgreeUnderAutoStrategy) {
@@ -469,37 +474,66 @@ TEST_F(DifferentialFixture, RandomCqsAgreeUnderAutoStrategy) {
                                            "r" + std::to_string(seed));
     q.free_vars = q.AllVariables();
     q.Normalize();
-    CqEvalOptions legacy_opts, flat_opts;
-    legacy_opts.kernel = CqKernel::kLegacy;
-    flat_opts.kernel = CqKernel::kFlat;
-    ASSERT_EQ(Sorted(EvaluateCq(q, db, legacy_opts)),
-              Sorted(EvaluateCq(q, db, flat_opts)))
+    ASSERT_EQ(Sorted(EvaluateCq(q, db, WithStrategy(CqEvalStrategy::kAuto))),
+              Sorted(EvaluateCq(q, db,
+                                WithStrategy(CqEvalStrategy::kBacktracking))))
         << "random CQ seed " << seed;
   }
 }
 
+TEST_F(DifferentialFixture, BooleanDecisionsAgreeOnBranchingJoinTree) {
+  // E(x,y), E(x,z), E(z,u), E(y,w), E(w,v) with u and v seeded. Its only
+  // join tree is rooted at E(x,y) with two arms, each two atoms deep.
+  // Without the bottom-up semijoin pass every bag can stay non-empty
+  // while no root tuple extends into both arms, so a Boolean verdict
+  // read off the reduced bags would be wrong.
+  Term x = vocab_.Variable("bx"), y = vocab_.Variable("by"),
+       z = vocab_.Variable("bz"), u = vocab_.Variable("bu"),
+       w = vocab_.Variable("bw"), v = vocab_.Variable("bv");
+  int verdicts[2] = {0, 0};
+  for (uint64_t seed : {41u, 42u, 43u}) {
+    RelationId edge;
+    Database db = MakeGraph(12, 20, seed, &edge);
+    std::vector<Atom> atoms = {Atom(edge, {x, y}), Atom(edge, {x, z}),
+                               Atom(edge, {z, u}), Atom(edge, {y, w}),
+                               Atom(edge, {w, v})};
+    for (uint32_t a = 0; a < 12; ++a) {
+      for (uint32_t b = 0; b < 12; ++b) {
+        Mapping seed_map;
+        seed_map.Bind(u.variable_id(),
+                      vocab_.Constant("n" + std::to_string(a)).constant_id());
+        seed_map.Bind(v.variable_id(),
+                      vocab_.Constant("n" + std::to_string(b)).constant_id());
+        bool bags = DecideNonEmpty(
+            atoms, db, seed_map, WithStrategy(CqEvalStrategy::kDecomposition));
+        bool reference = DecideNonEmpty(
+            atoms, db, seed_map, WithStrategy(CqEvalStrategy::kBacktracking));
+        ASSERT_EQ(bags, reference)
+            << "graph " << seed << " u=n" << a << " v=n" << b;
+        ++verdicts[reference ? 1 : 0];
+      }
+    }
+  }
+  EXPECT_GT(verdicts[0], 0) << "no false verdict";
+  EXPECT_GT(verdicts[1], 0) << "no true verdict";
+}
+
 TEST(WdptDifferentialTest, Fig1AnswersIdenticalAcrossKernels) {
   // End-to-end WDPT evaluation (Figure 1 catalog): the projection-aware
-  // enumerator drives homomorphism search and CQ evaluation; both
-  // kernel stacks must produce the bit-identical canonical answer
-  // vector.
+  // enumerator, which drives homomorphism search and CQ evaluation, must
+  // produce the bit-identical canonical answer vector that full
+  // enumeration of maximal homomorphisms does.
   bench::Fig1Instance instance(/*num_bands=*/60);
-  SetDefaultCqKernel(CqKernel::kLegacy);
-  SetDefaultHomOrder(HomOrder::kLegacy);
-  Result<std::vector<Mapping>> legacy =
+  Result<std::vector<Mapping>> projected =
       EvaluateWdptProjected(instance.tree, instance.db);
-  SetDefaultCqKernel(CqKernel::kFlat);
-  SetDefaultHomOrder(HomOrder::kStats);
-  Result<std::vector<Mapping>> flat =
-      EvaluateWdptProjected(instance.tree, instance.db);
-  SetDefaultCqKernel(CqKernel::kDefault);
-  SetDefaultHomOrder(HomOrder::kDefault);
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_TRUE(flat.ok());
-  ASSERT_FALSE(legacy->empty());
-  // EvaluateWdptProjected's contract is the canonical sorted order, so
-  // equality here is bit-identity, not just same-set.
-  ASSERT_EQ(*legacy, *flat);
+  Result<std::vector<Mapping>> reference =
+      EvaluateWdptByFullEnumeration(instance.tree, instance.db);
+  ASSERT_TRUE(projected.ok());
+  ASSERT_TRUE(reference.ok());
+  ASSERT_FALSE(projected->empty());
+  // Both functions return the canonical sorted order, so equality here
+  // is bit-identity, not just same-set.
+  ASSERT_EQ(*projected, *reference);
 }
 
 }  // namespace

@@ -277,6 +277,32 @@ TEST(ServerWire, Figure1RoundTripMatchesSharedExecutionPath) {
   ASSERT_TRUE(client.Ping().ok());  // Session survives the error.
 }
 
+TEST(ServerWire, DeeplyNestedQueryIsAParseErrorAndTheServerSurvives) {
+  // 100,000 nested groups (a 200 KB frame) would overflow the stack of a
+  // parser without a depth cap and take the whole server down.
+  std::unique_ptr<Server> server = StartServer(kFig1Triples);
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  sparql::QueryRequest deep;
+  deep.query = std::string(100000, '(') + "(?x, p, ?y)" +
+               std::string(100000, ')');
+  Result<Response> error = client.Query(AsCall(deep));
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(error->code, StatusCode::kParseError);
+
+  Result<Response> pong = client.Ping();
+  ASSERT_TRUE(pong.ok());
+  EXPECT_EQ(pong->code, StatusCode::kOk);
+  sparql::QueryRequest fig1;
+  fig1.query = kFig1Query;
+  Response expected = LocalExpected(kFig1Triples, fig1);
+  ASSERT_TRUE(expected.ok());
+  Result<Response> response = client.Query(AsCall(fig1));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->code, StatusCode::kOk);
+  EXPECT_EQ(response->rows, expected.rows);
+}
+
 TEST(ServerWire, MalformedFrameGetsErrorResponseAndSessionSurvives) {
   std::unique_ptr<Server> server = StartServer(kFig1Triples);
   Result<int> fd = ConnectTcp("127.0.0.1", server->port());

@@ -95,6 +95,24 @@ TEST(ParserTest, SyntaxErrorsReported) {
   EXPECT_FALSE(ParseQuery("(?x, p, o) (?x, q, o)", &ctx).ok());
 }
 
+TEST(ParserTest, NestingBeyondTheCapIsAParseError) {
+  // The parser recurses once per group: 1,000 levels parse, one more is
+  // rejected, and so is a 200 KB query that would overflow the stack.
+  auto nested = [](size_t levels) {
+    return std::string(levels, '(') + "(?x, p, ?y)" +
+           std::string(levels, ')');
+  };
+  RdfContext ctx;
+  Result<PatternTree> at_cap = ParseQuery(nested(1000), &ctx);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->num_nodes(), 1u);
+  for (size_t levels : {size_t{1001}, size_t{100000}}) {
+    Result<PatternTree> deep = ParseQuery(nested(levels), &ctx);
+    ASSERT_FALSE(deep.ok()) << levels << " levels";
+    EXPECT_EQ(deep.status().code(), StatusCode::kParseError) << levels;
+  }
+}
+
 TEST(ParserTest, RoundTripThroughPrinter) {
   RdfContext ctx;
   const char* query =

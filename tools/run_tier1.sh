@@ -15,8 +15,8 @@
 #      the primary restarted mid-load; zero mismatches and at least
 #      one observed resync required; see docs/REPLICATION.md);
 #   5. a join-kernel perf smoke: `bench_kernel --check` runs the
-#      legacy-vs-flat differential gate on a reduced instance and
-#      writes a benchmark JSON, which is then fed through
+#      bag-kernel-vs-backtracking differential gate on a reduced
+#      instance and writes a benchmark JSON, which is then fed through
 #      tools/bench_compare.py (against itself — exercises the
 #      regression-gate plumbing; compare against a saved baseline by
 #      hand for real regression hunts, see docs/BENCHMARKS.md).
