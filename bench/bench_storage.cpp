@@ -6,7 +6,7 @@
 //   bench_storage [--bands N] [--load-reps N] [--ingest-batches N]
 //                 [--batch-ops N] [--json FILE]
 //
-// The dataset is the deterministic music catalog wdpt_loadgen uses
+// The dataset is the deterministic music catalog of gen::CatalogTriples
 // (--bands scales it). The load comparison parses the same dataset
 // --load-reps times through both paths — server::LoadSnapshot on the
 // text form, and ReadSnapshotFile on the binary snapshot produced from
@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "src/gen/db_gen.h"
 #include "src/relational/database.h"
 #include "src/relational/rdf.h"
 #include "src/server/snapshot.h"
@@ -52,28 +53,6 @@ double MedianMs(std::vector<double> samples) {
   if (samples.empty()) return 0;
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
-}
-
-// The same deterministic catalog wdpt_loadgen generates.
-std::string MakeCatalogTriples(uint32_t bands) {
-  std::string out;
-  for (uint32_t b = 0; b < bands; ++b) {
-    std::string band = "band" + std::to_string(b);
-    if (b % 2 == 0) {
-      out += band + " formed_in year" + std::to_string(1960 + b % 60) + "\n";
-    }
-    for (uint32_t r = 0; r < 4; ++r) {
-      std::string rec = "rec" + std::to_string(b) + "_" + std::to_string(r);
-      out += rec + " recorded_by " + band + "\n";
-      if ((b * 31 + r) % 10 < 8) {
-        out += rec + " published after_2010\n";
-      }
-      if ((b * 17 + r) % 10 < 5) {
-        out += rec + " NME_rating " + std::to_string(1 + (b + r) % 10) + "\n";
-      }
-    }
-  }
-  return out;
 }
 
 std::string FormatDouble(double v) {
@@ -123,7 +102,7 @@ int main(int argc, char** argv) {
   }
   std::string snapshot_path = std::string(dir) + "/snapshot.wdpt";
 
-  std::string triples = MakeCatalogTriples(bands);
+  std::string triples = gen::CatalogTriples(bands);
 
   // Reference load through the text path, and the binary file to race
   // against it.

@@ -1,7 +1,7 @@
 // Rank-based percentile selection over raw latency samples.
 //
-// Used by the load generator and benches to turn a bag of per-request
-// nanosecond samples into p50/p90/p99 columns. Selection runs via
+// Turns a bag of per-request nanosecond samples into p50/p90/p99
+// columns. Selection runs via
 // std::nth_element, which partially reorders the input but does not
 // require it sorted: the result depends only on the multiset of values,
 // so callers may merge per-thread sample chunks in any order or drop a

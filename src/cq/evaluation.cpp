@@ -694,6 +694,31 @@ bool CheckAndStripGroundAtoms(const std::vector<Atom>& atoms,
   return true;
 }
 
+// The widest generalized hypertree decomposition the ladder probes.
+constexpr int kMaxAutoWidth = 3;
+
+// The decomposition ladder of kAuto and kDecomposition: Yannakakis when
+// `q` is acyclic, else the bag kernel over the first GHD of width
+// 2..kMaxAutoWidth. Returns nullopt when neither applies.
+std::optional<std::vector<Mapping>> EvaluateByLadder(
+    const ConjunctiveQuery& q, const Database& db, uint64_t max_answers,
+    const CancelToken& cancel) {
+  std::optional<std::vector<Mapping>> answers =
+      EvaluateAcyclic(q, db, max_answers, cancel);
+  if (answers.has_value()) return answers;
+  std::vector<VariableId> vertex_to_var;
+  Hypergraph h = q.BuildHypergraph(&vertex_to_var);
+  if (h.num_vertices > kMaxExactVertices) return std::nullopt;
+  for (int k = 2; k <= kMaxAutoWidth; ++k) {
+    std::optional<HypertreeDecomposition> hd = FindHypertreeDecomposition(h, k);
+    if (hd.has_value()) {
+      return EvaluateWithDecomposition(q, db, *hd, vertex_to_var, max_answers,
+                                       cancel);
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::vector<Mapping> EvaluateWithDecomposition(
@@ -796,27 +821,14 @@ bool DecideNonEmpty(const std::vector<Atom>& atoms, const Database& db,
     return HomomorphismExists(with_vars, db, Mapping(), hom_limits);
   }
 
-  std::optional<std::vector<Mapping>> acyclic =
-      EvaluateAcyclic(boolean_q, db, /*max_answers=*/1, options.cancel);
-  if (acyclic.has_value()) return !acyclic->empty();
-
-  std::vector<VariableId> vertex_to_var;
-  Hypergraph h = boolean_q.BuildHypergraph(&vertex_to_var);
-  if (h.num_vertices <= kMaxExactVertices) {
-    for (int k = 2; k <= options.max_auto_width; ++k) {
-      std::optional<HypertreeDecomposition> hd =
-          FindHypertreeDecomposition(h, k);
-      if (hd.has_value()) {
-        return !EvaluateWithDecomposition(boolean_q, db, *hd, vertex_to_var,
-                                          /*max_answers=*/1, options.cancel)
-                    .empty();
-      }
-    }
-  }
+  std::optional<std::vector<Mapping>> answers =
+      EvaluateByLadder(boolean_q, db, /*max_answers=*/1, options.cancel);
+  if (answers.has_value()) return !answers->empty();
   if (options.strategy == CqEvalStrategy::kDecomposition) {
     // Width exceeded the probe bound; use the widest decomposition found
     // via min-fill over the primal graph (still correct, possibly slow).
-    Graph primal = h.ToPrimalGraph();
+    std::vector<VariableId> vertex_to_var;
+    Graph primal = boolean_q.BuildHypergraph(&vertex_to_var).ToPrimalGraph();
     TreeDecomposition td;
     TreewidthUpperBound(primal, &td);
     HypertreeDecomposition hd;
@@ -845,22 +857,9 @@ std::vector<Mapping> EvaluateCq(const ConjunctiveQuery& q, const Database& db,
                                 const CqEvalOptions& options) {
   WDPT_CHECK(q.IsSafe());
   if (options.strategy != CqEvalStrategy::kBacktracking) {
-    std::optional<std::vector<Mapping>> acyclic =
-        EvaluateAcyclic(q, db, options.max_answers, options.cancel);
-    if (acyclic.has_value()) return std::move(*acyclic);
-    std::vector<VariableId> vertex_to_var;
-    Hypergraph hypergraph = q.BuildHypergraph(&vertex_to_var);
-    if (hypergraph.num_vertices <= kMaxExactVertices) {
-      for (int k = 2; k <= options.max_auto_width; ++k) {
-        std::optional<HypertreeDecomposition> hd =
-            FindHypertreeDecomposition(hypergraph, k);
-        if (hd.has_value()) {
-          return EvaluateWithDecomposition(q, db, *hd, vertex_to_var,
-                                           options.max_answers,
-                                           options.cancel);
-        }
-      }
-    }
+    std::optional<std::vector<Mapping>> answers =
+        EvaluateByLadder(q, db, options.max_answers, options.cancel);
+    if (answers.has_value()) return std::move(*answers);
   }
   std::vector<Atom> with_vars;
   if (!CheckAndStripGroundAtoms(q.atoms, db, &with_vars)) return {};

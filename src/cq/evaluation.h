@@ -29,16 +29,13 @@ namespace wdpt {
 enum class CqEvalStrategy {
   kBacktracking,   ///< Plain backtracking join (exponential worst case).
   kDecomposition,  ///< GHD-based: join per bag, then Yannakakis.
-  kAuto,           ///< Acyclic -> Yannakakis; else GHD if cheap; else
-                   ///< backtracking.
+  kAuto,           ///< Acyclic -> Yannakakis; else GHD of width <= 3;
+                   ///< else backtracking.
 };
 
 /// Options for CQ evaluation.
 struct CqEvalOptions {
   CqEvalStrategy strategy = CqEvalStrategy::kAuto;
-  /// Maximum generalized hypertree width probed by kAuto before falling
-  /// back to backtracking.
-  int max_auto_width = 3;
   /// Cap on returned answers (0 = unlimited).
   uint64_t max_answers = 0;
   /// Cooperative cancellation/deadline token, polled at safe points of

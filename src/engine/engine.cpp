@@ -324,14 +324,6 @@ Result<std::vector<Mapping>> Engine::Enumerate(
         "Enumerate: kPartial is a membership-only semantics; use Eval with "
         "a candidate");
   }
-  if (options.trace != nullptr) {
-    // Enumeration itself needs no plan; resolve the (cached) plan only to
-    // stamp the tractability class on the trace. The class depends on the
-    // call's width bound; the algorithm is Eval-only and stays kAuto.
-    // Failure leaves the class unknown and never fails the enumeration.
-    PlanOptions plan_options{options.width_bound, EvalAlgorithm::kAuto};
-    (void)GetPlan(tree, plan_options, options.trace);
-  }
   CancelToken token = EffectiveToken(options.cancel, options.deadline);
   Status token_status = StatusFromToken(token);
   if (!token_status.ok()) {

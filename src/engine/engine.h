@@ -58,8 +58,8 @@ struct CallOptions {
   /// semantics have a single algorithm each; this field only steers
   /// kStandard. Eval-only.
   EvalAlgorithm algorithm = EvalAlgorithm::kAuto;
-  /// Treewidth bound for classification (plan-cache key part). Enumerate
-  /// uses it too, for the tractability class it stamps on the trace.
+  /// Treewidth bound for classification (plan-cache key part). Eval-only:
+  /// Enumerate builds no plan, so its trace keeps the class unknown.
   int width_bound = 1;
   /// Options forwarded to the CQ evaluation substrate (strategy etc.).
   /// Its `cancel` field is overwritten by the engine's effective token.

@@ -62,4 +62,25 @@ Database MakeMusicCatalog(RdfContext* ctx,
   return db;
 }
 
+std::string CatalogTriples(uint32_t bands) {
+  std::string out;
+  for (uint32_t b = 0; b < bands; ++b) {
+    std::string band = "band" + std::to_string(b);
+    if (b % 2 == 0) {
+      out += band + " formed_in year" + std::to_string(1960 + b % 60) + "\n";
+    }
+    for (uint32_t r = 0; r < 4; ++r) {
+      std::string rec = "rec" + std::to_string(b) + "_" + std::to_string(r);
+      out += rec + " recorded_by " + band + "\n";
+      if ((b * 31 + r) % 10 < 8) {
+        out += rec + " published after_2010\n";
+      }
+      if ((b * 17 + r) % 10 < 5) {
+        out += rec + " NME_rating " + std::to_string(1 + (b + r) % 10) + "\n";
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace wdpt::gen

@@ -4,6 +4,7 @@
 #define WDPT_SRC_GEN_DB_GEN_H_
 
 #include <cstdint>
+#include <string>
 
 #include "src/common/status.h"
 #include "src/relational/database.h"
@@ -40,6 +41,12 @@ struct MusicCatalogOptions {
 
 /// Builds the catalog as an RDF database of `ctx`.
 Database MakeMusicCatalog(RdfContext* ctx, const MusicCatalogOptions& options);
+
+/// A deterministic catalog of `bands` bands in the same shape, as
+/// "s p o" lines: every band records four titles, and ratings, recency
+/// and formation years appear with fixed-pattern gaps, so the OPT
+/// branches bind only sometimes.
+std::string CatalogTriples(uint32_t bands);
 
 }  // namespace wdpt::gen
 

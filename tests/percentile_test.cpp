@@ -1,5 +1,5 @@
-// Tests for the rank-based percentile helper behind the load
-// generator's latency columns. The load-bearing property is order
+// Tests for the rank-based percentile helper (src/common/percentile.h).
+// The load-bearing property is order
 // insensitivity: percentiles must come out the same whether the sample
 // vector was sorted, shuffled, merged from per-thread chunks, or had a
 // warmup prefix erased — a sort-then-index implementation that silently

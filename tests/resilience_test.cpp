@@ -151,6 +151,7 @@ TEST(Resilience, KillAndRestartMidLoadRecoversBitIdentical) {
 
   constexpr int kQueries = 40;
   std::atomic<int> progress{0};
+  std::atomic<bool> restarted{false};
   std::atomic<int> mismatches{0};
   std::atomic<int> failures{0};
   uint64_t retries = 0, reconnects = 0;
@@ -163,7 +164,12 @@ TEST(Resilience, KillAndRestartMidLoadRecoversBitIdentical) {
     policy.seed = 7;
     client.set_retry_policy(policy);
     client.Connect("127.0.0.1", port);
-    for (int i = 0; i < kQueries; ++i) {
+    // At least kQueries, and at least one begun after the restart: a
+    // descheduled main thread must not let the load finish before the
+    // kill it is meant to ride out.
+    bool queried_after_restart = false;
+    for (int i = 0; i < kQueries || !queried_after_restart; ++i) {
+      queried_after_restart = restarted.load();
       Result<Response> response = client.Query(QueryCall(kFig1Query));
       if (!response.ok() || response->code != StatusCode::kOk) {
         failures.fetch_add(1);
@@ -186,14 +192,15 @@ TEST(Resilience, KillAndRestartMidLoadRecoversBitIdentical) {
   ServerOptions options;
   options.port = port;
   srv = std::make_unique<Server>(options);
-  Status restarted = Status::Internal("never started");
+  Status started = Status::Internal("never started");
   for (int attempt = 0; attempt < 100; ++attempt) {
-    restarted = srv->Start(MustLoad(kFig1Triples));
-    if (restarted.ok()) break;
+    started = srv->Start(MustLoad(kFig1Triples));
+    if (started.ok()) break;
     srv = std::make_unique<Server>(options);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+  restarted.store(true);
+  ASSERT_TRUE(started.ok()) << started.ToString();
 
   load.join();
   EXPECT_EQ(failures.load(), 0);

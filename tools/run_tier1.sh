@@ -6,15 +6,11 @@
 #   2. configure + build + ctest for the default preset, then the asan
 #      and tsan presets (which run the concurrency-sensitive labels:
 #      engine, server, cache, storage, resilience, replication, kernel
-#      — see CMakePresets.json);
-#   3. a seeded single-node `wdpt_loadgen --chaos` smoke run (fault
-#      injection + drain/restart, zero mismatches required; see
-#      docs/RESILIENCE.md);
-#   4. a seeded `wdpt_loadgen --replicas 2 --chaos` smoke run (primary
-#      + two followers under fault injection, one replica killed and
-#      the primary restarted mid-load; zero mismatches and at least
-#      one observed resync required; see docs/REPLICATION.md);
-#   5. a join-kernel perf smoke: `bench_kernel --check` runs the
+#      — see CMakePresets.json). The default ctest run includes the
+#      two seeded resilience gates, label `chaos`: the single-node
+#      `wdpt_loadgen --chaos` run and the `wdpt_loadgen --replicas 2
+#      --chaos` run (docs/RESILIENCE.md, docs/REPLICATION.md);
+#   3. a join-kernel perf smoke: `bench_kernel --check` runs the
 #      bag-kernel-vs-backtracking differential gate on a reduced
 #      instance and writes a benchmark JSON, which is then fed through
 #      tools/bench_compare.py (against itself — exercises the
@@ -25,9 +21,9 @@
 # picture; the script exits non-zero when any step failed.
 #
 # Usage: tools/run_tier1.sh [preset ...]
-#   With no arguments runs: default asan tsan, then both chaos smokes.
+#   With no arguments runs: default asan tsan, then the perf smoke.
 #   Pass a subset (e.g. `tools/run_tier1.sh default`) to run fewer
-#   presets; the chaos smokes run whenever the default preset is built.
+#   presets; the perf smoke runs whenever the default preset is built.
 
 set -uo pipefail
 
@@ -67,12 +63,6 @@ done
 
 for preset in "${presets[@]}"; do
   if [ "${preset}" = "default" ]; then
-    step "chaos smoke (single node)" \
-      ./build/tools/wdpt_loadgen --chaos --chaos-seed 7 --clients 4 \
-      --requests 30 --bands 80
-    step "chaos smoke (replicas)" \
-      ./build/tools/wdpt_loadgen --replicas 2 --chaos --chaos-seed 7 \
-      --clients 4 --requests 30 --bands 40
     step "perf smoke (kernel differential)" \
       ./build/bench/bench_kernel --db-vertices 800 --reps 2 --check \
       --json build/BENCH_kernel_smoke.json
