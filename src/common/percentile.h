@@ -1,14 +1,14 @@
 // Rank-based percentile selection over raw latency samples.
 //
 // Turns a bag of per-request nanosecond samples into p50/p90/p99
-// columns. Selection runs via
-// std::nth_element, which partially reorders the input but does not
-// require it sorted: the result depends only on the multiset of values,
-// so callers may merge per-thread sample chunks in any order or drop a
-// warmup prefix without re-sorting first. (This property is pinned by
-// tests/percentile_test.cpp — a sort-then-index implementation that
-// silently assumed pre-sorted input would mis-report percentiles the
-// moment a caller erased warmup rows.)
+// columns for perfbench/loadgen.cpp and perfbench/traced.cpp. Selection
+// runs via std::nth_element, which partially reorders the input but
+// does not require it sorted: the result depends only on the multiset
+// of values, so callers may merge per-thread sample chunks in any order
+// or drop a warmup prefix without re-sorting first. (This property is
+// pinned by tests/percentile_test.cpp — a sort-then-index
+// implementation that silently assumed pre-sorted input would
+// mis-report percentiles the moment a caller erased warmup rows.)
 
 #ifndef WDPT_SRC_COMMON_PERCENTILE_H_
 #define WDPT_SRC_COMMON_PERCENTILE_H_

@@ -39,8 +39,8 @@ enum class TraceStage : uint8_t {
   // zero for queries. Keep kQueryStageCount pointing past the last
   // query-pipeline stage above.
   kWalAppend,      ///< WAL entry encode + append + fsync (the ack point).
-  kApply,          ///< Batch applied to the authoritative database.
-  kPublish,        ///< Snapshot rebuild + hot swap (or checkpoint write).
+  kApply,          ///< Batch applied to the next snapshot's copy.
+  kPublish,        ///< Snapshot copy + freeze + swap (or checkpoint write).
 };
 
 /// Stages of the read pipeline (kQueueWait..kSerialize): the ones every

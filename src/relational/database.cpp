@@ -188,10 +188,15 @@ bool Database::RemoveFact(RelationId relation,
 }
 
 Database Database::CloneWithSchema(const Schema* schema) const {
-  Database copy(*this);
-  copy.schema_ = schema;
   // The copy is private to its new owner until it publishes it itself.
-  for (Relation& r : copy.relations_) r.frozen_ = false;
+  // It skips the column indexes: the owner's next mutation would make
+  // them stale, and its Freeze rebuilds them.
+  Database copy(schema);
+  for (const Relation& r : relations_) {
+    Relation& c = copy.relations_.emplace_back(r.arity_);
+    c.data_ = r.data_;
+    c.tuple_index_ = r.tuple_index_;
+  }
   return copy;
 }
 

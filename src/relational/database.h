@@ -61,8 +61,8 @@ class Relation {
   /// Removes a tuple; returns false if it was absent. The last row is
   /// swapped into the vacated slot and built column indexes are marked
   /// stale — a batch of N removes costs one rebuild on the next read,
-  /// not N. For *private* databases — the storage layer's mutable
-  /// authority — never for a published, frozen snapshot.
+  /// not N. For *private* databases — a writer's copy of a snapshot
+  /// (CloneWithSchema) — never for a published, frozen one.
   bool Remove(std::span<const ConstantId> tuple);
 
   /// Pre-sizes storage for `rows` tuples (bulk loads).
@@ -102,8 +102,8 @@ class Relation {
   /// Marks the relation as published: it must already be warmed, and
   /// from now on a probe that would need a lazy (re)build aborts
   /// instead of mutating shared state. Mutations themselves stay legal
-  /// on the storage authority's private copies only — a frozen
-  /// relation's Insert/Remove also aborts.
+  /// on a writer's private, unfrozen copy only — a frozen relation's
+  /// Insert/Remove also aborts.
   void Freeze() const;
 
   bool frozen() const { return frozen_; }
@@ -127,7 +127,7 @@ class Relation {
     if (index_built_) index_stale_ = true;
   }
 
-  // Database::CloneWithSchema un-freezes the relations of a copy.
+  // Database::CloneWithSchema copies the tuples without the indexes.
   friend class Database;
 
   uint32_t arity_;
@@ -168,11 +168,13 @@ class Database {
     MutableRelation(relation)->Reserve(rows);
   }
 
-  /// Copies the database, rebinding it to `schema` — which must
+  /// Copies the facts, rebinding them to `schema` — which must
   /// describe the same relations (typically the schema of a copied
-  /// context). This is how the storage layer turns its mutable
-  /// authority into a self-contained immutable snapshot. The copy is
-  /// never frozen, whatever the source was.
+  /// context). This is how a writer derives a private, mutable next
+  /// version from a published snapshot (server::Snapshot's copy
+  /// constructor). The copy is never frozen and carries no column
+  /// indexes, whatever the source had: its first probe or Freeze
+  /// builds them.
   Database CloneWithSchema(const Schema* schema) const;
 
   /// True if the fact is present.

@@ -28,15 +28,11 @@ Result<std::shared_ptr<const server::Snapshot>> Replicator::Bootstrap() {
   Status last = Status::Ok();
   for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
     if (stop_.load()) return Status::Cancelled("replicator stopped");
-    bool fetched = false;
-    last = EstablishSession(&fetched);
+    last = EstablishSession();
     if (last.ok()) {
-      // Subscribed from genesis without a snapshot: start empty.
-      if (state_ == nullptr) state_ = std::make_unique<State>();
-      Result<std::shared_ptr<const server::Snapshot>> published =
-          PublishState();
-      if (published.ok()) return published;
-      last = published.status();
+      // Subscribed from genesis without a snapshot: start empty, version 0.
+      if (snapshot_ == nullptr) Publish(std::make_shared<server::Snapshot>());
+      return snapshot_;
     }
     CloseConnection();
     if (attempt < max_attempts && !SleepBackoff(attempt)) {
@@ -87,7 +83,7 @@ ReplicaReplicationStats Replicator::stats() const {
   return s;
 }
 
-Status Replicator::EstablishSession(bool* fetched_snapshot) {
+Status Replicator::EstablishSession() {
   CloseConnection();
   Result<int> fd =
       server::ConnectTcp(options_.primary_host, options_.primary_port,
@@ -124,7 +120,6 @@ Status Replicator::EstablishSession(bool* fetched_snapshot) {
     if (ack->code == StatusCode::kNotFound && round == 0) {
       Status fetched = FetchSnapshot();
       if (!fetched.ok()) return fetched;
-      *fetched_snapshot = true;
       continue;
     }
     return Status::Internal("primary refused subscription (" +
@@ -145,17 +140,19 @@ Status Replicator::FetchSnapshot() {
                             std::string(StatusCodeName(image->code)) +
                             "): " + image->message);
   }
-  auto state = std::make_unique<State>();
+  auto snapshot = std::make_shared<server::Snapshot>();
   Status parsed = storage::ParseSnapshotBytes(
       image->body.data(), image->body.size(), "primary " + primary_address(),
-      &state->ctx, &state->db);
+      &snapshot->ctx, &snapshot->db);
   if (!parsed.ok()) return parsed;
-  state_ = std::move(state);
   epoch_.store(image->epoch);
   offset_.store(0);
   applied_seq_.store(0);
   head_seq_.store(0);
   snapshot_fetches_.fetch_add(1);
+  snapshot->version = image->epoch << 32;
+  snapshot->db.Freeze();
+  Publish(std::move(snapshot));
   return Status::Ok();
 }
 
@@ -168,13 +165,12 @@ Result<server::Response> Replicator::RoundTrip(const server::Request& request) {
   return server::ParseResponse(*frame);
 }
 
-Result<std::shared_ptr<const server::Snapshot>> Replicator::PublishState() {
-  uint64_t version = (epoch_.load() << 32) | applied_seq_.load();
-  Result<std::shared_ptr<const server::Snapshot>> snapshot =
-      server::MakeSnapshot(state_->ctx, state_->db, version);
-  if (!snapshot.ok()) return snapshot.status();
-  if (publish_) publish_(*snapshot);
-  return snapshot;
+void Replicator::Publish(std::shared_ptr<const server::Snapshot> snapshot) {
+  // The previous version is released last, after the swap, and freed
+  // here unless a reader still holds it.
+  std::shared_ptr<const server::Snapshot> previous =
+      std::exchange(snapshot_, std::move(snapshot));
+  if (publish_) publish_(snapshot_);
 }
 
 Status Replicator::HandleSegment(const server::Request& seg) {
@@ -198,20 +194,18 @@ Status Replicator::HandleSegment(const server::Request& seg) {
 
   Trace trace;
   trace.set_mode("replicate");
-  {
+  Result<std::vector<storage::TripleOp>> ops = [&] {
     Trace::Span span(&trace, TraceStage::kApply);
-    Result<std::vector<storage::TripleOp>> ops =
-        storage::ParseIngestBody(seg.body);
-    if (!ops.ok()) return ops.status();
-    storage::ApplyTripleOps(&state_->ctx, &state_->db, *ops, nullptr,
-                            nullptr);
-  }
+    return storage::ParseIngestBody(seg.body);
+  }();
+  if (!ops.ok()) return ops.status();
+  std::shared_ptr<const server::Snapshot> next = storage::NextSnapshot(
+      *snapshot_, *ops, (seg.epoch << 32) | seg.seq, &trace);
   applied_seq_.store(seg.seq);
   offset_.store(seg.next_offset);
   {
     Trace::Span span(&trace, TraceStage::kPublish);
-    Result<std::shared_ptr<const server::Snapshot>> published = PublishState();
-    if (!published.ok()) return published.status();
+    Publish(std::move(next));
   }
   batches_applied_.fetch_add(1);
   if (log_ && options_.slow_apply_ms != 0 &&
@@ -274,15 +268,7 @@ void Replicator::Run() {
     pending.clear();
     resyncs_.fetch_add(1);
     for (uint32_t attempt = 1; !stop_.load(); ++attempt) {
-      bool fetched = false;
-      Status session = EstablishSession(&fetched);
-      if (session.ok()) {
-        if (!fetched) break;
-        Result<std::shared_ptr<const server::Snapshot>> published =
-            PublishState();
-        if (published.ok()) break;
-        CloseConnection();
-      }
+      if (EstablishSession().ok()) break;
       if (!SleepBackoff(attempt)) break;
     }
   }

@@ -8,17 +8,18 @@
 //               fresh. kOk means the primary still retains that point
 //               and the stream starts there; kNotFound means it was
 //               compacted away, so the replica issues SNAPSHOT-FETCH,
-//               rebuilds its state from the returned image, and
-//               re-subscribes at (epoch, 0). Bounded by
+//               builds a snapshot from the returned image, publishes
+//               it, and re-subscribes at (epoch, 0). Bounded by
 //               RetryPolicy::max_attempts.
 //   streaming   each WALSEG frame is checked for continuity (epoch
 //               matches, offset equals the end of what was applied),
-//               applied via ApplyTripleOps — the same routine the
-//               primary runs — and republished through the publish
-//               callback as an immutable snapshot whose version is
+//               turned into the next snapshot by storage::NextSnapshot
+//               — the routine the primary's ingest runs — and published
+//               through the publish callback. Its version is
 //               (epoch << 32) | seq, the primary's own formula, so a
 //               replica's answer-cache generations agree with the
-//               primary's for identical states.
+//               primary's for identical states. The newest published
+//               snapshot is the replica's only copy of the dataset.
 //   resync      any stream fault — torn frame, read timeout, gap,
 //               primary restart — closes the connection and re-runs
 //               the bootstrap handshake from the last *applied*
@@ -47,8 +48,6 @@
 #include <thread>
 
 #include "src/common/status.h"
-#include "src/relational/database.h"
-#include "src/relational/rdf.h"
 #include "src/replication/stats.h"
 #include "src/server/client.h"
 #include "src/server/frame.h"
@@ -120,23 +119,14 @@ class Replicator {
   ReplicaReplicationStats stats() const;
 
  private:
-  /// The replica's own mutable copy of the dataset. Database is not
-  /// reassignable (it points into its context's schema), so a
-  /// re-bootstrap swaps the whole bundle.
-  struct State {
-    RdfContext ctx;
-    Database db;
-    State() : db(ctx.MakeDatabase()) {}
-  };
-
   /// One connect + subscribe handshake (with at most one snapshot
-  /// fetch). On success fd_ carries a live stream positioned at
-  /// (epoch_, offset_); `*fetched_snapshot` reports whether state_ was
-  /// rebuilt and must be republished.
-  Status EstablishSession(bool* fetched_snapshot);
+  /// fetch, published at once). On success fd_ carries a live stream
+  /// positioned at (epoch_, offset_).
+  Status EstablishSession();
   Status FetchSnapshot();
   Result<server::Response> RoundTrip(const server::Request& request);
-  Result<std::shared_ptr<const server::Snapshot>> PublishState();
+  /// Makes `snapshot` the newest and hands it to the publish callback.
+  void Publish(std::shared_ptr<const server::Snapshot> snapshot);
   Status HandleSegment(const server::Request& seg);
   void Run();
   /// True when the stream socket has bytes ready right now (poll with
@@ -168,7 +158,9 @@ class Replicator {
   std::atomic<uint64_t> resyncs_{0};
   std::atomic<uint64_t> snapshot_fetches_{0};
 
-  std::unique_ptr<State> state_;
+  /// The newest published snapshot, which the next batch is derived
+  /// from; null until the bootstrap. Bootstrap / streaming thread only.
+  std::shared_ptr<const server::Snapshot> snapshot_;
   std::mt19937_64 backoff_rng_;
 
   std::atomic<bool> stop_{false};

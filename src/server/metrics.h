@@ -113,7 +113,7 @@ class RequestMetrics {
   metrics::LatencyHistogram cache_wall_[kCacheOutcomeCount];
   /// Total INGEST wall time (wal_append + apply + publish).
   metrics::LatencyHistogram ingest_wall_;
-  /// Snapshot-publication span (MakeSnapshot + hot swap) of ingests.
+  /// Snapshot-publication span (copy + freeze + hot swap) of ingests.
   metrics::LatencyHistogram publish_wall_;
   std::atomic<uint64_t> responses_by_status_[kStatusCodeCount] = {};
   std::atomic<uint64_t> queries_recorded_{0};

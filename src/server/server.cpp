@@ -44,7 +44,9 @@ Status Server::Start(std::shared_ptr<const Snapshot> initial) {
     return Status::InvalidArgument("server already started");
   }
   next_version_.store(initial->version + 1);
-  snapshot_.Store(std::move(initial));
+  // A storage-backed server serves the store's snapshot: holding the
+  // start one here too would pin it for the server's lifetime.
+  if (storage_ == nullptr) snapshot_.Store(std::move(initial));
   Result<int> listener = ListenLoopback(options_.port, &port_);
   if (!listener.ok()) {
     started_.store(false);
@@ -257,7 +259,7 @@ std::string Server::MetricsText() const {
   }
   return metrics_.RenderPrometheus(counters(), engine_.stats(),
                                    admission_.in_flight(),
-                                   snapshot_.Load()->version, storage_ptr,
+                                   CurrentSnapshot()->version, storage_ptr,
                                    primary_ptr, replica_ptr);
 }
 

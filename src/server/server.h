@@ -232,6 +232,7 @@ class Server {
   Engine engine_;
   ThreadPool pool_;
   AdmissionController admission_;
+  /// Empty on a storage-backed server: its store holds what it serves.
   SnapshotHolder snapshot_;
   /// Durable storage behind INGEST/CHECKPOINT; null for text-loaded
   /// servers (which keep RELOAD instead).

@@ -18,17 +18,4 @@ Result<std::shared_ptr<const Snapshot>> LoadSnapshot(std::string_view triples,
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
 
-Result<std::shared_ptr<const Snapshot>> MakeSnapshot(const RdfContext& ctx,
-                                                     const Database& db,
-                                                     uint64_t version) {
-  auto snapshot = std::make_shared<Snapshot>();
-  // Copy-assigning the context keeps snapshot->ctx at a stable address,
-  // so the cloned database can point at its schema.
-  snapshot->ctx = ctx;
-  snapshot->db = db.CloneWithSchema(&snapshot->ctx.schema());
-  snapshot->version = version;
-  snapshot->db.Freeze();
-  return std::shared_ptr<const Snapshot>(std::move(snapshot));
-}
-
 }  // namespace wdpt::server

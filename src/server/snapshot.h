@@ -7,6 +7,8 @@
 // atomically publishes it through a SnapshotHolder; in-flight requests
 // keep the shared_ptr they grabbed at admission and finish against the
 // version they started on — a swap can never produce a torn read.
+// Writers keep no other copy: storage::NextSnapshot derives the next
+// version from a private copy of the newest.
 //
 // Query parsing interns new symbols into a vocabulary, so requests
 // never parse against the shared snapshot context directly: they take a
@@ -43,23 +45,19 @@ struct Snapshot {
   uint64_t version = 0;
 
   Snapshot() : db(ctx.MakeDatabase()) {}
-  // db holds a pointer into ctx's schema: pin the pair in place.
-  Snapshot(const Snapshot&) = delete;
+  /// A private, mutable copy to derive the next version from, sharing
+  /// nothing with `other`: db is rebound to the copy's schema, unfrozen
+  /// and unindexed (see Database::CloneWithSchema).
+  Snapshot(const Snapshot& other)
+      : ctx(other.ctx),
+        db(other.db.CloneWithSchema(&ctx.schema())),
+        version(other.version) {}
   Snapshot& operator=(const Snapshot&) = delete;
 };
 
 /// Parses whitespace-separated triples (one per line, '#' comments)
 /// into a fresh snapshot and warms every column index.
 Result<std::shared_ptr<const Snapshot>> LoadSnapshot(std::string_view triples,
-                                                     uint64_t version);
-
-/// Builds a snapshot from an already-materialized (context, database)
-/// pair — the storage layer's publish path: the pair is deep-copied
-/// into the snapshot (the copy's schema pointer rebound to the copied
-/// context) and indexes warmed, exactly like a text load. The source
-/// pair stays untouched and mutable.
-Result<std::shared_ptr<const Snapshot>> MakeSnapshot(const RdfContext& ctx,
-                                                     const Database& db,
                                                      uint64_t version);
 
 /// Mutex-guarded shared_ptr publication point. Load() hands a reader a

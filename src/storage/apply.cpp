@@ -31,6 +31,24 @@ void ApplyTripleOps(RdfContext* ctx, Database* db,
   }
 }
 
+std::shared_ptr<const server::Snapshot> NextSnapshot(
+    const server::Snapshot& base, const std::vector<TripleOp>& ops,
+    uint64_t version, Trace* trace, uint64_t* added, uint64_t* removed) {
+  std::shared_ptr<server::Snapshot> next;
+  {
+    Trace::Span span(trace, TraceStage::kPublish);
+    next = std::make_shared<server::Snapshot>(base);
+  }
+  {
+    Trace::Span span(trace, TraceStage::kApply);
+    ApplyTripleOps(&next->ctx, &next->db, ops, added, removed);
+  }
+  Trace::Span span(trace, TraceStage::kPublish);
+  next->version = version;
+  next->db.Freeze();
+  return next;
+}
+
 std::string FormatIngestBody(const std::vector<TripleOp>& ops) {
   std::string body;
   for (const TripleOp& op : ops) {

@@ -2,12 +2,11 @@
 // text.
 //
 // One batch of TripleOps has exactly one meaning, applied in three
-// places that must agree bit-for-bit: the primary's authoritative
-// database (StorageManager::Ingest), open-time WAL recovery, and a
-// replica replaying shipped WALSEG batches (src/replication). All
-// three call ApplyTripleOps so the interpretation — adds of present
-// triples and removes of absent ones are acked no-ops, in-order
-// last-op-wins — cannot drift between the write path and the
+// places that must agree bit-for-bit: the primary's ingest, a replica
+// replaying a WALSEG batch (both via NextSnapshot), and open-time WAL
+// recovery. All three call ApplyTripleOps so the interpretation — adds
+// of present triples and removes of absent ones are acked no-ops,
+// in-order last-op-wins — cannot drift between the write path and the
 // replication path. FormatIngestBody is the inverse of ParseIngestBody
 // (wal.h) and is how a batch travels inside a WALSEG frame.
 
@@ -15,11 +14,14 @@
 #define WDPT_SRC_STORAGE_APPLY_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/trace.h"
 #include "src/relational/database.h"
 #include "src/relational/rdf.h"
+#include "src/server/snapshot.h"
 #include "src/storage/wal.h"
 
 namespace wdpt::storage {
@@ -32,6 +34,15 @@ namespace wdpt::storage {
 void ApplyTripleOps(RdfContext* ctx, Database* db,
                     const std::vector<TripleOp>& ops, uint64_t* added,
                     uint64_t* removed);
+
+/// The snapshot that follows `base` after `ops`, for the caller to swap
+/// in: a copy of `base` (sharing nothing with it) with `ops` applied,
+/// stamped `version` and frozen. Records the copy and the freeze as
+/// kPublish and the ops as kApply into `trace` (may be null).
+std::shared_ptr<const server::Snapshot> NextSnapshot(
+    const server::Snapshot& base, const std::vector<TripleOp>& ops,
+    uint64_t version, Trace* trace, uint64_t* added = nullptr,
+    uint64_t* removed = nullptr);
 
 /// Renders `ops` as ingest text (`add s p o` / `remove s p o`, one op
 /// per line): the WALSEG body encoding. Exact inverse of

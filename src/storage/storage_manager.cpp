@@ -11,7 +11,6 @@
 #include <cstring>
 #include <utility>
 
-#include "src/sparql/data_loader.h"
 #include "src/storage/apply.h"
 #include "src/storage/snapshot_file.h"
 
@@ -91,9 +90,10 @@ Result<std::unique_ptr<StorageManager>> StorageManager::Open(
   ::closedir(dir);
 
   Clock::time_point load_start = Clock::now();
+  auto recovered = std::make_shared<server::Snapshot>();
   if (newest != 0) {
-    Status loaded = ReadSnapshotFile(mgr->SnapshotPath(newest), &mgr->ctx_,
-                                     &mgr->db_);
+    Status loaded = ReadSnapshotFile(mgr->SnapshotPath(newest),
+                                     &recovered->ctx, &recovered->db);
     if (!loaded.ok()) return loaded;
     mgr->snapshot_seq_ = newest;
     mgr->snapshot_seq_published_.store(newest, std::memory_order_relaxed);
@@ -106,7 +106,8 @@ Result<std::unique_ptr<StorageManager>> StorageManager::Open(
   Result<WalRecovery> recovery = ReplayWalWithOffsets(
       mgr->WalPath(), [&](const std::vector<TripleOp>& ops, uint64_t offset,
                           uint64_t next_offset) {
-        ApplyTripleOps(&mgr->ctx_, &mgr->db_, ops, nullptr, nullptr);
+        ApplyTripleOps(&recovered->ctx, &recovered->db, ops, nullptr,
+                       nullptr);
         replication::BatchRecord record;
         record.seq = ++mgr->entries_in_epoch_;
         record.offset = offset;
@@ -129,47 +130,34 @@ Result<std::unique_ptr<StorageManager>> StorageManager::Open(
   mgr->wal_backlog_bytes_.store(mgr->wal_->bytes(),
                                 std::memory_order_relaxed);
 
-  {
-    std::lock_guard<std::mutex> lock(mgr->mu_);
-    Status published = mgr->PublishLocked(nullptr);
-    if (!published.ok()) return published;
-  }
+  recovered->version = (mgr->snapshot_seq_ << 32) | mgr->entries_in_epoch_;
+  recovered->db.Freeze();
+  mgr->Publish(std::move(recovered));
   return mgr;
+}
+
+void StorageManager::Publish(std::shared_ptr<const server::Snapshot> snapshot) {
+  snapshot_.Store(std::move(snapshot));
+  publishes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Status StorageManager::ImportTriples(std::string_view triples) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (db_.TotalFacts() != 0 || snapshot_seq_ != 0 || wal_->bytes() != 0) {
+  if (snapshot_.Load()->db.TotalFacts() != 0 || snapshot_seq_ != 0 ||
+      wal_->bytes() != 0) {
     return Status::InvalidArgument(
         "refusing to import into a non-empty store (dir " + options_.dir +
         " already holds data)");
   }
-  Status loaded = sparql::LoadTriples(triples, &ctx_, &db_);
-  if (!loaded.ok()) return loaded;
+  // Published only once snapshot.001 (hence the version) is durable: a
+  // malformed line or a failed write leaves the store empty.
+  Result<std::shared_ptr<const server::Snapshot>> imported =
+      server::LoadSnapshot(triples, /*version=*/uint64_t{1} << 32);
+  if (!imported.ok()) return imported.status();
   CheckpointResult checkpoint;
-  Status compacted = CheckpointLocked(&checkpoint, nullptr);
+  Status compacted = CheckpointLocked(**imported, &checkpoint, nullptr);
   if (!compacted.ok()) return compacted;
-  return PublishLocked(nullptr);
-}
-
-void StorageManager::ApplyLocked(const std::vector<TripleOp>& ops,
-                                 uint64_t* added, uint64_t* removed) {
-  // One shared routine for primary apply, recovery, and replica replay
-  // (storage/apply.h) — the semantics cannot drift between them.
-  ApplyTripleOps(&ctx_, &db_, ops, added, removed);
-}
-
-Status StorageManager::PublishLocked(Trace* trace) {
-  Trace::Span span(trace, TraceStage::kPublish);
-  // Deterministic from durable state: the same (snapshot, WAL prefix)
-  // always publishes the same version, across restarts and on every
-  // replica — which keeps answer-cache generations honest cluster-wide.
-  uint64_t version = (snapshot_seq_ << 32) | entries_in_epoch_;
-  Result<std::shared_ptr<const server::Snapshot>> snapshot =
-      server::MakeSnapshot(ctx_, db_, version);
-  if (!snapshot.ok()) return snapshot.status();
-  snapshot_.Store(std::move(*snapshot));
-  publishes_.fetch_add(1, std::memory_order_relaxed);
+  Publish(std::move(*imported));
   return Status::Ok();
 }
 
@@ -192,14 +180,19 @@ Result<IngestResult> StorageManager::Ingest(const std::vector<TripleOp>& ops,
   }
   ++entries_in_epoch_;
   IngestResult result;
-  {
-    Trace::Span span(trace, TraceStage::kApply);
-    ApplyLocked(ops, &result.added, &result.removed);
-  }
-  Status published = PublishLocked(trace);
-  if (!published.ok()) return published;
+  // Deterministic from durable state: the same (snapshot, WAL prefix)
+  // always publishes the same version, across restarts and on every
+  // replica — which keeps answer-cache generations honest cluster-wide.
   result.version = (snapshot_seq_ << 32) | entries_in_epoch_;
-  result.facts = db_.TotalFacts();
+  std::shared_ptr<const server::Snapshot> base = snapshot_.Load();
+  std::shared_ptr<const server::Snapshot> next = NextSnapshot(
+      *base, ops, result.version, trace, &result.added, &result.removed);
+  result.facts = next->db.TotalFacts();
+  {
+    Trace::Span span(trace, TraceStage::kPublish);
+    Publish(std::move(next));
+    base.reset();  // Frees the old version, unless a reader holds it.
+  }
 
   // Ship to replicas only after the batch is durable, applied, and
   // published locally: a replica can never observe state the primary
@@ -216,13 +209,15 @@ Result<IngestResult> StorageManager::Ingest(const std::vector<TripleOp>& ops,
   if (options_.checkpoint_wal_bytes != 0 &&
       wal_->bytes() >= options_.checkpoint_wal_bytes) {
     CheckpointResult checkpoint;
-    Status compacted = CheckpointLocked(&checkpoint, trace);
+    Status compacted =
+        CheckpointLocked(*snapshot_.Load(), &checkpoint, trace);
     if (!compacted.ok()) return compacted;
   }
   return result;
 }
 
-Status StorageManager::CheckpointLocked(CheckpointResult* result,
+Status StorageManager::CheckpointLocked(const server::Snapshot& snapshot,
+                                        CheckpointResult* result,
                                         Trace* trace) {
   // Crash ordering: the temp write fsyncs its bytes, the rename makes
   // the new sequence visible, the dir fsync makes the rename durable,
@@ -234,7 +229,7 @@ Status StorageManager::CheckpointLocked(CheckpointResult* result,
   std::string tmp = options_.dir + "/snapshot.tmp";
   std::string final_path = SnapshotPath(seq);
   SnapshotFileInfo info;
-  Status written = WriteSnapshotFile(tmp, ctx_, db_, &info);
+  Status written = WriteSnapshotFile(tmp, snapshot.ctx, snapshot.db, &info);
   if (!written.ok()) return written;
   if (::rename(tmp.c_str(), final_path.c_str()) != 0) {
     return Errno("rename", final_path);
@@ -266,7 +261,7 @@ Status StorageManager::CheckpointLocked(CheckpointResult* result,
 Result<CheckpointResult> StorageManager::Checkpoint(Trace* trace) {
   std::lock_guard<std::mutex> lock(mu_);
   CheckpointResult result;
-  Status compacted = CheckpointLocked(&result, trace);
+  Status compacted = CheckpointLocked(*snapshot_.Load(), &result, trace);
   if (!compacted.ok()) return compacted;
   return result;
 }
@@ -278,7 +273,8 @@ Result<ReplicaSnapshot> StorageManager::FetchSnapshotForReplica() {
     // snapshot so there is an image to hand out. This also advances
     // the epoch, so the requester's follow-up SUBSCRIBE lands on it.
     CheckpointResult checkpoint;
-    Status compacted = CheckpointLocked(&checkpoint, nullptr);
+    Status compacted =
+        CheckpointLocked(*snapshot_.Load(), &checkpoint, nullptr);
     if (!compacted.ok()) return compacted;
   }
   ReplicaSnapshot out;

@@ -1,16 +1,16 @@
-// StorageManager: the durable, mutable authority behind a serving
-// directory.
+// StorageManager: the durable writer behind a serving directory.
 //
 // The manager owns `<dir>/snapshot.NNN.wdpt` (the newest binary
-// snapshot file, see snapshot_file.h) plus `<dir>/wal.log` (see wal.h),
-// and keeps the authoritative in-memory database they describe. Open()
-// loads the snapshot file, replays the WAL over it (truncating any torn
-// tail), and publishes the result; every successful Ingest appends one
-// WAL entry (the ack point), applies the batch, and publishes a fresh
-// immutable server::Snapshot — re-warmed indexes, bumped version /
-// answer-cache generation — through the same SnapshotHolder hot-swap
-// path a RELOAD uses, so readers switch atomically and never see half a
-// batch. Checkpoint() compacts the WAL into snapshot.NNN+1 with
+// snapshot file, see snapshot_file.h) plus `<dir>/wal.log` (see wal.h);
+// its one in-memory copy of that dataset is the newest published
+// server::Snapshot. Open() loads the snapshot file and replays the WAL
+// (truncating any torn tail) into one snapshot and publishes it; every
+// successful Ingest appends one WAL entry (the ack point), derives the
+// next snapshot from the current one (storage::NextSnapshot: bumped
+// version / answer-cache generation), and swaps it in through the same
+// SnapshotHolder hot-swap path a RELOAD uses, so readers switch
+// atomically and never see half a batch. Checkpoint() writes the
+// current snapshot as snapshot.NNN+1 and empties the WAL with
 // write-temp → fsync → rename → fsync-dir ordering: a crash at any
 // point recovers to exactly the acked state (the old snapshot + full
 // WAL, or the new snapshot + whatever the WAL gained since — WAL replay
@@ -43,8 +43,6 @@
 
 #include "src/common/status.h"
 #include "src/common/trace.h"
-#include "src/relational/database.h"
-#include "src/relational/rdf.h"
 #include "src/replication/hub.h"
 #include "src/server/snapshot.h"
 #include "src/storage/stats.h"
@@ -103,7 +101,8 @@ class StorageManager {
 
   /// Seeds an *empty* store from triples text (one per line; the
   /// wdpt_server --data + --data-dir combination): writes snapshot.001
-  /// and publishes. Fails if the store already holds data.
+  /// and publishes. Fails if the store already holds data; a failed
+  /// import (bad text, failed write) leaves the store empty.
   Status ImportTriples(std::string_view triples);
 
   /// The immutable snapshot readers should evaluate against. Never
@@ -113,16 +112,17 @@ class StorageManager {
     return snapshot_.Load();
   }
 
-  /// Durably applies one batch: WAL append (+fsync per policy) → apply
-  /// → publish. On Ok the batch is recoverable and visible. Records
-  /// kWalAppend/kApply/kPublish spans into `trace`. May run an
+  /// Durably applies one batch: WAL append (+fsync per policy) → next
+  /// snapshot → swap. On Ok the batch is recoverable and visible.
+  /// Records kWalAppend/kApply/kPublish spans into `trace`. May run an
   /// automatic checkpoint afterwards (checkpoint_wal_bytes).
   Result<IngestResult> Ingest(const std::vector<TripleOp>& ops,
                               Trace* trace = nullptr);
 
-  /// Compacts the WAL into a fresh snapshot.NNN+1.wdpt and empties the
-  /// log. Readers are untouched (the published snapshot already holds
-  /// this state); the kPublish span records the file write.
+  /// Writes the current snapshot to a fresh snapshot.NNN+1.wdpt and
+  /// empties the log. Readers are untouched (the published snapshot
+  /// already holds this state); the kPublish span records the file
+  /// write.
   Result<CheckpointResult> Checkpoint(Trace* trace = nullptr);
 
   /// The current snapshot file's bytes for a replica bootstrap
@@ -143,22 +143,18 @@ class StorageManager {
 
  private:
   explicit StorageManager(const StorageOptions& options)
-      : options_(options), db_(ctx_.MakeDatabase()) {}
+      : options_(options) {}
 
   std::string SnapshotPath(uint64_t seq) const;
   std::string WalPath() const;
-  /// Applies ops to the authoritative database (caller holds mu_).
-  void ApplyLocked(const std::vector<TripleOp>& ops, uint64_t* added,
-                   uint64_t* removed);
-  /// Builds and publishes a fresh immutable snapshot (caller holds mu_).
-  Status PublishLocked(Trace* trace);
-  Status CheckpointLocked(CheckpointResult* result, Trace* trace);
+  /// Swaps `snapshot` in for readers (caller holds mu_, or is Open).
+  void Publish(std::shared_ptr<const server::Snapshot> snapshot);
+  Status CheckpointLocked(const server::Snapshot& snapshot,
+                          CheckpointResult* result, Trace* trace);
 
   StorageOptions options_;
 
   mutable std::mutex mu_;  ///< Serializes writers; readers never take it.
-  RdfContext ctx_;         ///< Authoritative vocabulary/schema.
-  Database db_;            ///< Authoritative facts (never served directly).
   std::unique_ptr<WalWriter> wal_;
   uint64_t snapshot_seq_ = 0;
   /// WAL entries applied on top of snapshot_seq_ — the low half of the
@@ -169,6 +165,7 @@ class StorageManager {
   uint64_t entries_in_epoch_ = 0;
 
   replication::Hub hub_;
+  /// The newest published snapshot, which the next write derives from.
   server::SnapshotHolder snapshot_;
 
   std::atomic<uint64_t> wal_appends_{0};

@@ -1,5 +1,6 @@
-// Tests for the rank-based percentile helper (src/common/percentile.h).
-// The load-bearing property is order
+// Tests for the rank-based percentile helper (src/common/percentile.h),
+// whose callers are the serving benchmark's perfbench/loadgen.cpp and
+// perfbench/traced.cpp. The load-bearing property is order
 // insensitivity: percentiles must come out the same whether the sample
 // vector was sorted, shuffled, merged from per-thread chunks, or had a
 // warmup prefix erased — a sort-then-index implementation that silently

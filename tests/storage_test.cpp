@@ -2,10 +2,12 @@
 // binary snapshot round-trips and checksum rejection, WAL append /
 // replay / torn-tail truncation, StorageManager open-ingest-checkpoint-
 // recover differentials (recovered answers must be bit-identical to a
-// reference built from the acked writes alone), a fork+SIGKILL crash
-// test that kills the process mid-ingest stream, wire-level INGEST /
-// CHECKPOINT through a storage-backed server, and CHECKPOINT under live
-// query traffic (no torn reads; runs under tsan).
+// reference built from the acked writes alone), a failed import that
+// must leave the store empty, a fork+SIGKILL crash test that kills the
+// process mid-ingest stream, wire-level INGEST / CHECKPOINT through a
+// storage-backed server (which must keep only the serving snapshot),
+// and CHECKPOINT under live query traffic (no torn reads; runs under
+// tsan).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/engine/engine.h"
 #include "src/server/client.h"
 #include "src/server/exec.h"
@@ -127,17 +131,15 @@ TEST_F(StorageTest, SnapshotFileRoundTripIsBitIdenticalUnderQuery) {
   EXPECT_EQ(written.facts, 6u);
   EXPECT_GT(written.file_bytes, 40u);
 
-  RdfContext ctx;
-  Database db = ctx.MakeDatabase();
+  server::Snapshot reloaded;
   SnapshotFileInfo read;
-  ASSERT_TRUE(ReadSnapshotFile(Path("snap.wdpt"), &ctx, &db, &read).ok());
+  ASSERT_TRUE(ReadSnapshotFile(Path("snap.wdpt"), &reloaded.ctx,
+                               &reloaded.db, &read)
+                  .ok());
   EXPECT_EQ(read.facts, written.facts);
-  EXPECT_EQ(db.TotalFacts(), 6u);
-
-  Result<std::shared_ptr<const server::Snapshot>> reloaded =
-      server::MakeSnapshot(ctx, db, /*version=*/1);
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(RowsFor(**reloaded, kFig1Query), RowsFor(**original, kFig1Query));
+  EXPECT_EQ(reloaded.db.TotalFacts(), 6u);
+  reloaded.db.Freeze();
+  EXPECT_EQ(RowsFor(reloaded, kFig1Query), RowsFor(**original, kFig1Query));
 }
 
 TEST_F(StorageTest, MissingSnapshotFileIsNotFound) {
@@ -311,6 +313,21 @@ TEST_F(StorageTest, CorruptedWalEntryStopsReplayAtThePriorEntry) {
   EXPECT_EQ(recovery->truncated_bytes, bytes.size() / 2);
 }
 
+// The facts a snapshot holds, one rendered line each, sorted.
+std::vector<std::string> FactsOf(const server::Snapshot& snapshot) {
+  std::vector<std::string> facts =
+      StrSplit(snapshot.db.ToString(snapshot.ctx.vocab()), '\n');
+  std::sort(facts.begin(), facts.end());
+  return facts;
+}
+
+bool Mentions(const std::vector<std::string>& rows, const std::string& text) {
+  for (const std::string& row : rows) {
+    if (row.find(text) != std::string::npos) return true;
+  }
+  return false;
+}
+
 TEST_F(StorageTest, ManagerSeedsIngestsCheckpointsAndRecovers) {
   StorageOptions options;
   options.dir = Path("store");
@@ -326,6 +343,11 @@ TEST_F(StorageTest, ManagerSeedsIngestsCheckpointsAndRecovers) {
     // Re-seeding a non-empty store is refused.
     EXPECT_FALSE((*manager)->ImportTriples(kFig1Triples).ok());
 
+    // A snapshot held across an ingest never changes: the next version
+    // is a copy that shares no rows or indexes with it.
+    std::shared_ptr<const server::Snapshot> held =
+        (*manager)->CurrentSnapshot();
+    std::vector<std::string> held_rows = RowsFor(*held, kFig1Query);
     Result<std::vector<TripleOp>> ops = ParseIngestBody(
         "add Odessa recorded_by Caribou\n"
         "add Odessa published after_2010\n"
@@ -339,6 +361,13 @@ TEST_F(StorageTest, ManagerSeedsIngestsCheckpointsAndRecovers) {
     rows_after_ingest =
         RowsFor(*(*manager)->CurrentSnapshot(), kFig1Query);
     EXPECT_FALSE(rows_after_ingest.empty());
+    EXPECT_NE((*manager)->CurrentSnapshot(), held);
+    EXPECT_EQ(held->db.TotalFacts(), 6u);
+    EXPECT_EQ(RowsFor(*held, kFig1Query), held_rows);
+    EXPECT_TRUE(Mentions(held_rows, "rating -> 2"));
+    EXPECT_FALSE(Mentions(held_rows, "Odessa"));
+    EXPECT_FALSE(Mentions(rows_after_ingest, "rating -> 2"));
+    EXPECT_TRUE(Mentions(rows_after_ingest, "Odessa"));
 
     // Acked no-ops: adding a present triple, removing an absent one.
     Result<std::vector<TripleOp>> noop =
@@ -385,6 +414,35 @@ TEST_F(StorageTest, ManagerSeedsIngestsCheckpointsAndRecovers) {
     EXPECT_EQ(RowsFor(*(*manager)->CurrentSnapshot(), kFig1Query),
               rows_after_ingest);
   }
+}
+
+// A failed import publishes nothing: the store stays empty, a retry is
+// accepted, and what the store serves after an ingest is exactly what
+// a reopen recovers.
+TEST_F(StorageTest, FailedImportLeavesTheStoreEmpty) {
+  StorageOptions options;
+  options.dir = Path("store");
+  std::vector<std::string> served;
+  {
+    Result<std::unique_ptr<StorageManager>> manager =
+        StorageManager::Open(options);
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    Status failed = (*manager)->ImportTriples("a p b\nc p d\nmalformed\n");
+    EXPECT_EQ(failed.code(), StatusCode::kParseError);
+    EXPECT_EQ((*manager)->CurrentSnapshot()->db.TotalFacts(), 0u);
+    Status retried = (*manager)->ImportTriples(kFig1Triples);
+    EXPECT_TRUE(retried.ok()) << retried.ToString();
+
+    Result<std::vector<TripleOp>> ops = ParseIngestBody("add x p y\n");
+    ASSERT_TRUE(ops.ok());
+    ASSERT_TRUE((*manager)->Ingest(*ops).ok());
+    served = FactsOf(*(*manager)->CurrentSnapshot());
+    EXPECT_EQ((*manager)->CurrentSnapshot()->db.TotalFacts(), 7u);
+  }
+  Result<std::unique_ptr<StorageManager>> reopened =
+      StorageManager::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(FactsOf(*(*reopened)->CurrentSnapshot()), served);
 }
 
 TEST_F(StorageTest, CorruptSnapshotFileFailsOpenInsteadOfServingGarbage) {
@@ -618,6 +676,38 @@ TEST_F(StorageTest, WireIngestAndCheckpointThroughStorageBackedServer) {
   EXPECT_NE(metrics.find("wdpt_storage_ingest_duration_seconds"),
             std::string::npos);
 
+  srv.Stop();
+}
+
+// At rest a storage-backed server keeps exactly one snapshot reachable,
+// the store's newest, and its version gauge reports that one.
+TEST_F(StorageTest, StorageBackedServerHoldsAndReportsOnlyTheServingSnapshot) {
+  StorageOptions storage_options;
+  storage_options.dir = Path("store");
+  Result<std::unique_ptr<StorageManager>> manager =
+      StorageManager::Open(storage_options);
+  ASSERT_TRUE(manager.ok());
+  ASSERT_TRUE((*manager)->ImportTriples(kFig1Triples).ok());
+  std::weak_ptr<const server::Snapshot> imported =
+      (*manager)->CurrentSnapshot();
+
+  server::Server srv((server::ServerOptions()));
+  ASSERT_TRUE(srv.StartWithStorage(std::move(*manager)).ok());
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", srv.port()).ok());
+  std::string version;
+  for (int i = 0; i < 3; ++i) {
+    Result<server::Response> ingest =
+        client.Ingest("add rec" + std::to_string(i) + " recorded_by Caribou\n");
+    ASSERT_TRUE(ingest.ok());
+    ASSERT_EQ(ingest->code, StatusCode::kOk) << ingest->message;
+    version = ingest->message.substr(ingest->message.rfind(' ') + 1);
+  }
+  EXPECT_EQ(version, std::to_string((uint64_t{1} << 32) | 3));
+  EXPECT_NE(srv.MetricsText().find("\nwdpt_server_snapshot_version " +
+                                   version + "\n"),
+            std::string::npos);
+  EXPECT_TRUE(imported.expired());
   srv.Stop();
 }
 

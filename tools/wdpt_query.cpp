@@ -4,7 +4,7 @@
 // Usage:
 //   wdpt_query --data FILE --query 'QUERY' [--mode eval|partial|max]
 //              [--maximal] [--candidate '?x=a ?y=b'] [--classify]
-//              [--limit N] [--deadline-ms N] [--threads N] [--stats]
+//              [--limit N] [--deadline-ms N] [--stats]
 //
 // The data file holds whitespace-separated triples (one per line, '#'
 // comments). The query uses the paper's algebraic notation, e.g.
@@ -41,7 +41,7 @@ int Usage(const char* argv0) {
                "usage: %s --data FILE --query 'QUERY' "
                "[--mode eval|partial|max] [--maximal] "
                "[--candidate '?x=a ?y=b'] [--classify] [--limit N] "
-               "[--deadline-ms N] [--threads N] [--stats]\n",
+               "[--deadline-ms N] [--stats]\n",
                argv0);
   return 2;
 }
@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   sparql::QueryRequest request;
   bool classify = false;
   bool show_stats = false;
-  unsigned threads = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--data" && i + 1 < argc) {
@@ -80,8 +79,6 @@ int main(int argc, char** argv) {
       request.max_results = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
       request.deadline_ms = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
     } else {
       return Usage(argv[0]);
     }
@@ -112,9 +109,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  EngineOptions engine_options;
-  engine_options.num_threads = threads;
-  Engine engine(engine_options);
+  // One pool thread, as in the server: the pool only serves EvalBatch,
+  // which a single request never calls.
+  Engine engine(EngineOptions{1, 128});
   auto dump_stats = [&] {
     if (show_stats) {
       std::fprintf(stderr, "%s\n", engine.stats().ToJson().c_str());
