@@ -10,6 +10,9 @@ RdfContext::RdfContext() {
   triple_ = id.value();
 }
 
+RdfContext::RdfContext(const RdfContext* base)
+    : schema_(base->schema_), vocab_(&base->vocab_), triple_(base->triple_) {}
+
 Term RdfContext::ParseTerm(std::string_view token) {
   if (!token.empty() && token[0] == '?') {
     return vocab_.Variable(token.substr(1));

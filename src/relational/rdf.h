@@ -21,6 +21,12 @@ namespace wdpt {
 class RdfContext {
  public:
   RdfContext();
+  /// A copy of `base`'s one-relation schema with a vocabulary layered
+  /// over `base`'s (see Vocabulary(const Vocabulary*)): terms parsed
+  /// against it get the ids a full copy of `base` would give them, and
+  /// `base` is only read. `base` must outlive the context and must not
+  /// change meanwhile.
+  explicit RdfContext(const RdfContext* base);
 
   Schema& schema() { return schema_; }
   const Schema& schema() const { return schema_; }

@@ -3,22 +3,27 @@
 namespace wdpt {
 
 uint32_t Interner::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
-  if (it != ids_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(names_.size());
+  uint32_t id = Find(name);
+  if (id != kNotInterned) return id;
+  id = static_cast<uint32_t>(size());
   names_.emplace_back(name);
   ids_.emplace(names_.back(), id);
   return id;
 }
 
 uint32_t Interner::Find(std::string_view name) const {
+  if (base_ != nullptr) {
+    uint32_t id = base_->Find(name);
+    if (id != kNotInterned) return id;
+  }
   auto it = ids_.find(std::string(name));
   return it == ids_.end() ? kNotInterned : it->second;
 }
 
 const std::string& Interner::NameOf(uint32_t id) const {
-  WDPT_CHECK(id < names_.size());
-  return names_[id];
+  if (id < base_size_) return base_->NameOf(id);
+  WDPT_CHECK(id - base_size_ < names_.size());
+  return names_[id - base_size_];
 }
 
 VariableId Vocabulary::FreshVariable(std::string_view prefix) {

@@ -60,9 +60,19 @@ class Term {
 };
 
 /// Bidirectional string <-> dense id interner.
+///
+/// An interner can be layered over a `const` base: lookups fall through
+/// to the base, and a name the base lacks gets the next id after the
+/// base's size, in first-appearance order, so ids agree with those a full
+/// copy of the base would hand out. The layer never writes to the base.
+/// Lifetime contract: the base must outlive the layer and must not change
+/// while the layer is in use.
 class Interner {
  public:
   Interner() = default;
+  /// Layers a new, empty interner over `base`.
+  explicit Interner(const Interner* base)
+      : base_(base), base_size_(base->size()) {}
   Interner(const Interner&) = default;
   Interner& operator=(const Interner&) = default;
 
@@ -76,10 +86,12 @@ class Interner {
   /// Returns the name of an interned id.
   const std::string& NameOf(uint32_t id) const;
 
-  /// Number of interned symbols.
-  size_t size() const { return names_.size(); }
+  /// Number of interned symbols, the base's included.
+  size_t size() const { return base_size_ + names_.size(); }
 
  private:
+  const Interner* base_ = nullptr;
+  size_t base_size_ = 0;
   std::vector<std::string> names_;
   std::unordered_map<std::string, uint32_t> ids_;
 };
@@ -91,6 +103,14 @@ class Interner {
 class Vocabulary {
  public:
   Vocabulary() = default;
+  /// Layers a new, empty vocabulary over `base`: both name spaces are
+  /// layered Interners, so `base`'s symbols keep their ids and new ones
+  /// get the ids a full copy of `base` would give them. `base` is only
+  /// read; it must outlive the layer and must not change meanwhile.
+  explicit Vocabulary(const Vocabulary* base)
+      : constants_(&base->constants_),
+        variables_(&base->variables_),
+        fresh_counter_(base->fresh_counter_) {}
   Vocabulary(const Vocabulary&) = default;
   Vocabulary& operator=(const Vocabulary&) = default;
 

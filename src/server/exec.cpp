@@ -73,9 +73,10 @@ Response ExecuteQuery(Engine* engine, const Snapshot& snapshot,
                       std::chrono::milliseconds(request.deadline_ms));
   }
 
-  // Parsing interns symbols, so it runs against a private copy of the
-  // snapshot's context; ids of known symbols are preserved by the copy.
-  RdfContext ctx = snapshot.ctx;
+  // Parsing interns symbols, so it runs against a layer over the
+  // snapshot's vocabulary, which it only reads: symbols the snapshot
+  // lacks get fresh ids in the layer and match no stored fact.
+  RdfContext ctx(&snapshot.ctx);
   sparql::QueryRequest local = request;
   local.deadline_ms = 0;  // The token above already carries it.
   Result<sparql::CompiledRequest> compiled = [&] {

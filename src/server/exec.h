@@ -1,12 +1,12 @@
 // The single query-execution path behind the server.
 //
 // ExecuteQuery is everything a QUERY request does once it has been
-// admitted: clone the snapshot's context, compile the request through
-// sparql::CompileRequest, run it on the engine with the effective
-// cancellation token, and render the answer rows. The Server calls it
-// from its worker pool; tests and wdpt_loadgen call it directly to
-// compute the expected bytes a server must produce — by construction
-// the two cannot diverge.
+// admitted: compile the request through sparql::CompileRequest against
+// a context layered over the snapshot's (read in place, never copied),
+// run it on the engine with the effective cancellation token, and
+// render the answer rows. The Server calls it from its worker pool;
+// tests and wdpt_loadgen call it directly to compute the expected bytes
+// a server must produce — by construction the two cannot diverge.
 
 #ifndef WDPT_SRC_SERVER_EXEC_H_
 #define WDPT_SRC_SERVER_EXEC_H_
@@ -20,13 +20,15 @@
 
 namespace wdpt::server {
 
-/// Runs one QUERY request against `snapshot` on `engine`. The effective
-/// cancellation is a child of `cancel` (pass the server's shutdown
-/// token, or a null token) with the request's deadline_ms applied on
-/// top, so queue wait already counts against the deadline when the
-/// caller created the deadline child before submitting. Never throws;
-/// every failure mode is encoded in the returned Response's status
-/// code.
+/// Runs one QUERY request against `snapshot` on `engine`. `snapshot` is
+/// only read, so concurrent calls may share it; the caller keeps it
+/// alive for the call (the Server holds the shared_ptr it took at
+/// admission). The effective cancellation is a child of `cancel` (pass
+/// the server's shutdown token, or a null token) with the request's
+/// deadline_ms applied on top, so queue wait already counts against the
+/// deadline when the caller created the deadline child before
+/// submitting. Never throws; every failure mode is encoded in the
+/// returned Response's status code.
 ///
 /// `trace` (optional) receives the staged breakdown — parse,
 /// plan-lookup, plan-build, cache-lookup, eval, serialize — plus the

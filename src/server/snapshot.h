@@ -11,12 +11,14 @@
 // version from a private copy of the newest.
 //
 // Query parsing interns new symbols into a vocabulary, so requests
-// never parse against the shared snapshot context directly: they take a
-// cheap private copy (Snapshot::ctx is copyable) and parse against
-// that. Ids of symbols present in the snapshot are preserved by the
-// copy; symbols the snapshot has never seen get fresh ids that match no
-// stored fact, which is exactly the right semantics for an unknown
-// constant.
+// never parse against the shared snapshot context directly: each parses
+// against its own context layered over Snapshot::ctx (RdfContext's
+// layering constructor), which reads the snapshot's vocabulary in place
+// and never writes it. Ids of symbols present in the snapshot are the
+// snapshot's; symbols the snapshot has never seen get fresh ids in the
+// request's layer that match no stored fact, which is exactly the right
+// semantics for an unknown constant. The per-request cost follows the
+// query, not the size of the vocabulary.
 
 #ifndef WDPT_SRC_SERVER_SNAPSHOT_H_
 #define WDPT_SRC_SERVER_SNAPSHOT_H_

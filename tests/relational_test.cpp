@@ -45,6 +45,74 @@ TEST(VocabularyTest, FreshVariablesAreFresh) {
   EXPECT_NE(a, b);
 }
 
+TEST(InternerTest, LayeredInternerFallsThroughToItsBase) {
+  Interner base;
+  ASSERT_EQ(base.Intern("a"), 0u);
+  ASSERT_EQ(base.Intern("b"), 1u);
+  Interner layer(&base);
+  EXPECT_EQ(layer.size(), 2u);
+  EXPECT_EQ(layer.Intern("b"), 1u);
+  EXPECT_EQ(layer.Intern("c"), 2u);
+  EXPECT_EQ(layer.Intern("d"), 3u);
+  EXPECT_EQ(layer.Intern("c"), 2u);
+  EXPECT_EQ(layer.Find("a"), 0u);
+  EXPECT_EQ(layer.Find("d"), 3u);
+  EXPECT_EQ(layer.Find("e"), Interner::kNotInterned);
+  EXPECT_EQ(layer.NameOf(1), "b");
+  EXPECT_EQ(layer.NameOf(3), "d");
+  EXPECT_EQ(layer.size(), 4u);
+  // The base is only read.
+  EXPECT_EQ(base.size(), 2u);
+  EXPECT_EQ(base.Find("c"), Interner::kNotInterned);
+}
+
+TEST(VocabularyTest, LayeredVocabularyGivesTheIdsOfAFullCopy) {
+  Vocabulary base;
+  for (const char* name : {"a", "b", "c"}) base.Constant(name);
+  base.Variable("x");
+  Vocabulary copy = base;
+  Vocabulary layer(&base);
+
+  // Base names keep their ids; new names continue after the base's
+  // size, in first-appearance order, exactly as in a copy.
+  for (Vocabulary* v : {&copy, &layer}) {
+    EXPECT_EQ(v->ConstantIdOf("b"), 1u);
+    EXPECT_EQ(v->ConstantIdOf("new1"), 3u);
+    EXPECT_EQ(v->ConstantIdOf("new2"), 4u);
+    EXPECT_EQ(v->ConstantIdOf("new1"), 3u);
+    EXPECT_EQ(v->Variable("x"), Term::Variable(0));
+    EXPECT_EQ(v->VariableIdOf("y"), 1u);
+  }
+  EXPECT_EQ(layer.FindConstant("a"), 0u);
+  EXPECT_EQ(layer.FindConstant("new2"), 4u);
+  EXPECT_EQ(layer.FindConstant("absent"), Interner::kNotInterned);
+  EXPECT_EQ(layer.ConstantName(2), "c");
+  EXPECT_EQ(layer.ConstantName(4), "new2");
+  EXPECT_EQ(layer.VariableName(0), "x");
+  EXPECT_EQ(layer.VariableName(1), "y");
+  EXPECT_EQ(layer.num_constants(), 5u);
+  EXPECT_EQ(layer.num_variables(), 2u);
+
+  // The base is unchanged.
+  EXPECT_EQ(base.num_constants(), 3u);
+  EXPECT_EQ(base.num_variables(), 1u);
+  EXPECT_EQ(base.FindConstant("new1"), Interner::kNotInterned);
+  EXPECT_EQ(base.ConstantName(0), "a");
+  EXPECT_EQ(base.ConstantName(2), "c");
+}
+
+TEST(VocabularyTest, FreshVariableOnALayerNeverReturnsABaseName) {
+  Vocabulary base;
+  VariableId minted = base.FreshVariable();  // "_v#0".
+  for (const char* name : {"_v#1", "_v#2", "_v#3"}) base.Variable(name);
+  Vocabulary layer(&base);
+  VariableId fresh = layer.FreshVariable();
+  EXPECT_EQ(fresh, base.num_variables());
+  EXPECT_NE(fresh, minted);
+  EXPECT_EQ(layer.VariableName(fresh), "_v#4");
+  EXPECT_EQ(base.num_variables(), 4u);
+}
+
 TEST(SchemaTest, AddAndLookup) {
   Schema schema;
   Result<RelationId> r = schema.AddRelation("R", 2);
@@ -193,6 +261,23 @@ TEST(RdfContextTest, TriplePatternsAndFacts) {
   Database db = ctx.MakeDatabase();
   ctx.AddTriple(&db, "rec1", "recorded_by", "band1");
   EXPECT_EQ(db.TotalFacts(), 1u);
+}
+
+TEST(RdfContextTest, LayeredContextParsesLikeACopy) {
+  RdfContext base;
+  Database db = base.MakeDatabase();
+  base.AddTriple(&db, "rec1", "recorded_by", "band1");
+  RdfContext copy(base);
+  RdfContext layer(&base);
+  EXPECT_EQ(layer.triple_relation(), base.triple_relation());
+  EXPECT_EQ(layer.schema().Arity(layer.triple_relation()), 3u);
+  Atom pattern = layer.TriplePattern("?x", "recorded_by", "band9");
+  EXPECT_EQ(pattern.terms,
+            copy.TriplePattern("?x", "recorded_by", "band9").terms);
+  EXPECT_EQ(pattern.terms[1], Term::Constant(1));
+  EXPECT_EQ(layer.vocab().TermName(pattern.terms[2]), "band9");
+  EXPECT_EQ(base.vocab().num_constants(), 3u);
+  EXPECT_EQ(base.vocab().num_variables(), 0u);
 }
 
 }  // namespace

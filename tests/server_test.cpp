@@ -3,7 +3,9 @@
 // example bit-identical to the shared execution path, concurrent
 // clients, deadlines surfacing kDeadlineExceeded over the wire,
 // admission-control overload shedding, hot snapshot swaps with no torn
-// reads, and the stats JSON schema.
+// reads, the stats JSON schema, and requests compiled against the
+// snapshot's vocabulary in place: bit-identical to compiling against a
+// copy, safe under concurrency, and at a cost flat in |D|.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +23,11 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/percentile.h"
+#include "src/engine/answer_cache.h"
 #include "src/engine/engine.h"
+#include "src/engine/plan.h"
+#include "src/gen/db_gen.h"
 #include "src/server/client.h"
 #include "src/server/exec.h"
 #include "src/server/frame.h"
@@ -802,6 +808,233 @@ TEST(ServerWire, SlowQueryLogCapturesTraceBreakdown) {
   EXPECT_NE(line.find("status=deadline-exceeded"), std::string::npos) << line;
   EXPECT_NE(line.find("queue="), std::string::npos) << line;
   EXPECT_NE(line.find("eval="), std::string::npos) << line;
+}
+
+sparql::QueryRequest MakeRequest(
+    std::string query,
+    sparql::RequestMode mode = sparql::RequestMode::kEval,
+    std::string candidate = "", uint64_t max_results = 0) {
+  sparql::QueryRequest request;
+  request.query = std::move(query);
+  request.mode = mode;
+  request.candidate = std::move(candidate);
+  request.max_results = max_results;
+  return request;
+}
+
+// The reference for ExecuteQuery: `request` compiled against a full copy
+// of the snapshot's context, run on a fresh engine and rendered the way
+// ExecuteQuery renders.
+Response ExecuteOnACopy(const Snapshot& snapshot,
+                        const sparql::QueryRequest& request) {
+  RdfContext copy(snapshot.ctx);
+  Response response;
+  Result<sparql::CompiledRequest> compiled =
+      sparql::CompileRequest(request, &copy);
+  if (!compiled.ok()) {
+    response.code = compiled.status().code();
+    response.message = compiled.status().ToString();
+    return response;
+  }
+  Engine engine(EngineOptions{1, 16});
+  if (compiled->check) {
+    Result<bool> verdict = engine.Eval(compiled->tree, snapshot.db,
+                                       compiled->candidate, compiled->options);
+    if (!verdict.ok()) {
+      response.code = verdict.status().code();
+      response.message = verdict.status().ToString();
+    } else {
+      response.rows.push_back(*verdict ? "true" : "false");
+    }
+    return response;
+  }
+  Result<std::vector<Mapping>> answers =
+      engine.Enumerate(compiled->tree, snapshot.db, compiled->options);
+  if (!answers.ok()) {
+    response.code = answers.status().code();
+    response.message = answers.status().ToString();
+    return response;
+  }
+  for (const Mapping& answer : *answers) {
+    if (compiled->max_results != 0 &&
+        response.rows.size() == compiled->max_results) {
+      response.truncated = true;
+      break;
+    }
+    response.rows.push_back(answer.ToString(copy.vocab()));
+  }
+  return response;
+}
+
+void ExpectSameAnswer(const Response& actual, const Response& expected) {
+  EXPECT_EQ(actual.code, expected.code);
+  EXPECT_EQ(actual.message, expected.message);
+  EXPECT_EQ(actual.rows, expected.rows);
+  EXPECT_EQ(actual.truncated, expected.truncated);
+}
+
+TEST(ServerExec, LayeredCompileMatchesACopyAndNeverTouchesTheSnapshot) {
+  std::shared_ptr<const Snapshot> snapshot = MustLoad(kFig1Triples, 1);
+  const Vocabulary& vocab = snapshot->ctx.vocab();
+  const size_t constants = vocab.num_constants();
+  const size_t variables = vocab.num_variables();
+  using sparql::RequestMode;
+  const std::string unknown_body =
+      "((?rec, recorded_by, Nobody) OPT (?rec, NME_rating, ?rating))";
+  const sparql::QueryRequest unknown_enum = MakeRequest(unknown_body);
+  const sparql::QueryRequest unknown_check =
+      MakeRequest(unknown_body, RequestMode::kPartial, "?rec=Swim");
+  const sparql::QueryRequest unknown_candidate = MakeRequest(
+      kFig1Query, RequestMode::kPartial, "?rec=Nowhere ?band=Caribou");
+  const std::vector<sparql::QueryRequest> requests = {
+      MakeRequest(kFig1Query),
+      MakeRequest(kFig1Query, RequestMode::kMax),
+      MakeRequest(kFig1Query, RequestMode::kEval, "", 1),
+      MakeRequest(kFig1Query, RequestMode::kEval,
+                  "?rec=Swim ?band=Caribou ?rating=2"),
+      MakeRequest(kFig1Query, RequestMode::kPartial, "?rec=Swim"),
+      MakeRequest(kFig1Query, RequestMode::kMax,
+                  "?rec=Our_love ?band=Caribou"),
+      unknown_enum,
+      unknown_check,
+      unknown_candidate,
+      MakeRequest(kFig1Query, RequestMode::kEval, "?rec=Swim ?song=Swim"),
+      MakeRequest("SELECT ?x WHERE ((?x, p)"),
+  };
+
+  Engine engine(EngineOptions{1, 16});
+  for (const sparql::QueryRequest& request : requests) {
+    SCOPED_TRACE(request.query + " | " + request.candidate);
+    RdfContext layered(&snapshot->ctx);
+    RdfContext copy(snapshot->ctx);
+    Result<sparql::CompiledRequest> a =
+        sparql::CompileRequest(request, &layered);
+    Result<sparql::CompiledRequest> b = sparql::CompileRequest(request, &copy);
+    ASSERT_EQ(a.ok(), b.ok());
+    if (a.ok()) {
+      // Equal ids everywhere, so neither cache key moves.
+      PlanOptions plan{a->options.width_bound, a->options.algorithm};
+      EXPECT_EQ(CanonicalPlanKey(a->tree, plan),
+                CanonicalPlanKey(b->tree, plan));
+      EXPECT_EQ(a->candidate, b->candidate);
+      uint8_t tag = static_cast<uint8_t>(a->options.semantics);
+      EXPECT_EQ(EvalCacheKey(a->tree, tag, a->candidate, 1),
+                EvalCacheKey(b->tree, tag, b->candidate, 1));
+      EXPECT_EQ(layered.vocab().num_constants(), copy.vocab().num_constants());
+      EXPECT_EQ(layered.vocab().num_variables(), copy.vocab().num_variables());
+    } else {
+      EXPECT_EQ(a.status().ToString(), b.status().ToString());
+    }
+    ExpectSameAnswer(ExecuteQuery(&engine, *snapshot, request),
+                     ExecuteOnACopy(*snapshot, request));
+    EXPECT_EQ(vocab.num_constants(), constants);
+    EXPECT_EQ(vocab.num_variables(), variables);
+  }
+
+  // Constants the snapshot lacks match no fact.
+  Response empty = ExecuteQuery(&engine, *snapshot, unknown_enum);
+  EXPECT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.rows.empty());
+  for (const sparql::QueryRequest& check : {unknown_check, unknown_candidate}) {
+    Response verdict = ExecuteQuery(&engine, *snapshot, check);
+    EXPECT_TRUE(verdict.ok());
+    EXPECT_EQ(verdict.rows, std::vector<std::string>{"false"});
+  }
+}
+
+TEST(ServerExec, ConcurrentRequestsShareOneSnapshotBase) {
+  // Every worker parses against its own layer over one snapshot, with
+  // symbols of its own the snapshot lacks; the base is only read.
+  constexpr int kThreads = 8;
+  constexpr int kCallsPerThread = 100;
+  std::shared_ptr<const Snapshot> snapshot = MustLoad(kFig1Triples, 1);
+  const size_t constants = snapshot->ctx.vocab().num_constants();
+  const size_t variables = snapshot->ctx.vocab().num_variables();
+  auto requests_of = [](int thread) {
+    using sparql::RequestMode;
+    const std::string r = "?r" + std::to_string(thread);
+    const std::string b = "?b" + std::to_string(thread);
+    const std::string ghost = "ghost" + std::to_string(thread);
+    return std::vector<sparql::QueryRequest>{
+        MakeRequest(kFig1Query),
+        MakeRequest("SELECT " + r + " " + b + " WHERE ((" + r +
+                        ", recorded_by, " + b + ") OPT (" + r +
+                        ", NME_rating, ?z" + std::to_string(thread) + "))",
+                    RequestMode::kMax),
+        MakeRequest(kFig1Query, RequestMode::kPartial,
+                    "?rec=Swim ?band=" + ghost),
+        MakeRequest("((?rec, recorded_by, " + ghost +
+                    ") OPT (?rec, NME_rating, ?rating))"),
+        MakeRequest(kFig1Query, RequestMode::kEval,
+                    "?rec=Swim ?band=Caribou ?rating=2"),
+    };
+  };
+  std::vector<std::vector<Response>> expected(kThreads);
+  {
+    Engine engine(EngineOptions{1, 16});
+    for (int t = 0; t < kThreads; ++t) {
+      for (const sparql::QueryRequest& request : requests_of(t)) {
+        expected[t].push_back(ExecuteQuery(&engine, *snapshot, request));
+      }
+    }
+  }
+
+  // A shared engine with its answer cache on, as in the server.
+  Engine engine(EngineOptions{1, 16, size_t{1} << 20});
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&engine, &expected, &requests_of, snapshot, t] {
+      std::vector<sparql::QueryRequest> requests = requests_of(t);
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        size_t k = static_cast<size_t>(i + t) % requests.size();
+        ExpectSameAnswer(ExecuteQuery(&engine, *snapshot, requests[k]),
+                         expected[t][k]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(snapshot->ctx.vocab().num_constants(), constants);
+  EXPECT_EQ(snapshot->ctx.vocab().num_variables(), variables);
+}
+
+TEST(ServerExec, PerRequestCostIsFlatInDatabaseSize) {
+  // A band-anchored enumeration reads a handful of facts, so its
+  // end-to-end cost must not follow |D|: over catalogs of 500 and 8,000
+  // bands, the larger one's median call may cost at most 2x the
+  // smaller one's. The bound is relative, so it holds under sanitizers.
+  constexpr int kCalls = 200;
+  using Clock = std::chrono::steady_clock;
+  std::shared_ptr<const Snapshot> snapshots[2] = {
+      MustLoad(gen::CatalogTriples(500), 1),
+      MustLoad(gen::CatalogTriples(8000), 1)};
+  sparql::QueryRequest request = MakeRequest(
+      "SELECT ?rec ?rating ?year WHERE ((((?rec, recorded_by, band7) AND "
+      "(?rec, published, after_2010)) OPT (?rec, NME_rating, ?rating)) "
+      "OPT (band7, formed_in, ?year))");
+  Engine engine(EngineOptions{1, 16});
+  Response small = ExecuteQuery(&engine, *snapshots[0], request);
+  ASSERT_TRUE(small.ok());
+  ASSERT_FALSE(small.rows.empty());
+  ExpectSameAnswer(ExecuteQuery(&engine, *snapshots[1], request), small);
+
+  std::vector<uint64_t> ns[2];
+  for (int i = 0; i < kCalls; ++i) {
+    for (int k = 0; k < 2; ++k) {
+      int which = (i + k) % 2;  // Alternate which snapshot goes first.
+      Clock::time_point start = Clock::now();
+      Response response = ExecuteQuery(&engine, *snapshots[which], request);
+      ns[which].push_back(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               start)
+              .count()));
+      ASSERT_TRUE(response.ok());
+    }
+  }
+  double small_median = static_cast<double>(PercentileValue(ns[0], 0.5));
+  double large_median = static_cast<double>(PercentileValue(ns[1], 0.5));
+  EXPECT_LE(large_median, 2.0 * small_median)
+      << "median ns at 500 bands: " << small_median
+      << ", at 8,000 bands: " << large_median;
 }
 
 }  // namespace
