@@ -236,12 +236,13 @@ size_t AnswerCacheValueBytes(const std::string& key,
 
 std::string EnumerateCacheKey(const PatternTree& tree, uint8_t semantics_tag,
                               const EnumerationLimits& limits,
-                              uint64_t generation) {
+                              uint64_t first_rows, uint64_t generation) {
   std::string key;
   key.push_back('E');
   key.push_back(static_cast<char>(semantics_tag));
   AppendU64(&key, limits.max_homomorphisms);
   AppendU64(&key, limits.max_steps);
+  AppendU64(&key, first_rows);
   AppendU64(&key, generation);
   AppendCanonicalTree(&key, tree);
   return key;

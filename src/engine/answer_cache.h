@@ -187,12 +187,14 @@ size_t AnswerCacheValueBytes(const std::string& key,
                              const AnswerCache::Value& value);
 
 /// Cache key for an enumeration request: a tag byte, the semantics tag,
-/// the enumeration limits, the snapshot generation, and the canonical
-/// tree serialization. The algorithm and width bound are deliberately
-/// absent — answers are bit-identical across them.
+/// the enumeration limits, the row cap (CallOptions::first_rows, so a
+/// capped entry never answers a call with another cap or none), the
+/// snapshot generation, and the canonical tree serialization. The
+/// algorithm and width bound are deliberately absent — answers are
+/// bit-identical across them.
 std::string EnumerateCacheKey(const PatternTree& tree, uint8_t semantics_tag,
                               const EnumerationLimits& limits,
-                              uint64_t generation);
+                              uint64_t first_rows, uint64_t generation);
 
 /// Cache key for a membership check (EVAL / PARTIAL-EVAL / MAX-EVAL of
 /// one candidate): a tag byte, the semantics tag, the snapshot

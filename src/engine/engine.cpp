@@ -268,8 +268,8 @@ Result<std::vector<Mapping>> Engine::EnumerateCore(
   limits.cancel = token;
   Result<std::vector<Mapping>> result =
       options.semantics == EvalSemantics::kMaximal
-          ? EvaluateWdptMaximal(tree, db, limits)
-          : EvaluateWdptProjected(tree, db, limits);
+          ? EvaluateWdptMaximal(tree, db, limits, options.first_rows)
+          : EvaluateWdptProjected(tree, db, limits, options.first_rows);
   // As in EvalWithPlan: a token that fired during the call invalidates
   // whatever the wound-down computation returned.
   Status token_status = StatusFromToken(token);
@@ -285,7 +285,7 @@ Result<std::vector<Mapping>> Engine::EnumerateThroughCache(
   }
   std::string key = EnumerateCacheKey(
       tree, static_cast<uint8_t>(options.semantics), options.limits,
-      options.cache.generation);
+      options.first_rows, options.cache.generation);
   Trace* trace = options.trace;
   AnswerCache::Lease lease = [&] {
     Trace::Span span(trace, TraceStage::kCacheLookup);

@@ -68,6 +68,13 @@ struct CallOptions {
   /// Enumeration caps; its `cancel` field is overwritten by the
   /// engine's effective token. Enumerate-only.
   EnumerationLimits limits;
+  /// Enumerate-only: return only the first min(first_rows, |answers|)
+  /// rows of the canonical order, for p(D) and p_m(D) alike (0 = all).
+  /// The server asks for max-results + 1 rows; the extra row decides
+  /// `truncated`. A capped call never takes more steps than the
+  /// uncapped one, so it may succeed where the full enumeration exceeds
+  /// `limits.max_steps`. Part of the answer-cache key.
+  uint64_t first_rows = 0;
   /// Per-call (per-task in EvalBatch) deadline, relative to call start.
   std::optional<std::chrono::nanoseconds> deadline;
   /// Caller-owned cancellation; combined with the deadline via a child
@@ -122,7 +129,8 @@ class Engine {
   /// cancellation handling: a token that fires at any point of the call,
   /// the maximality filter included, yields its status, never a partial
   /// answer. Answers come back in the canonical sorted order (Mapping's
-  /// operator<).
+  /// operator<); with `options.first_rows` set, only the first rows of
+  /// that order (see EvaluateWdptProjected for when that stops early).
   Result<std::vector<Mapping>> Enumerate(
       const PatternTree& tree, const Database& db,
       const CallOptions& options = CallOptions());

@@ -112,6 +112,8 @@ Response ExecuteQuery(Engine* engine, const Snapshot& snapshot,
         engine->Enumerate(compiled->tree, snapshot.db, options);
     if (answers.ok()) {
       Trace::Span span(trace, TraceStage::kSerialize);
+      // Under a cap the engine returns at most max_results + 1 rows, and
+      // the extra one is what sets `truncated`.
       size_t keep = answers->size();
       if (compiled->max_results != 0 && keep > compiled->max_results) {
         keep = compiled->max_results;

@@ -1,6 +1,9 @@
 #include "src/server/protocol.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <optional>
+#include <system_error>
 #include <utility>
 
 namespace wdpt::server {
@@ -42,6 +45,17 @@ bool SplitHeader(std::string_view line, std::string_view* key,
 
 uint64_t ParseU64(std::string_view value) {
   return std::strtoull(std::string(value).c_str(), nullptr, 10);
+}
+
+// A request header's number: a nonempty run of ASCII digits that fits
+// in a uint64. For unsigned types from_chars takes no sign, space or
+// prefix, and fails on an empty value and on overflow.
+std::optional<uint64_t> ParseDecimalU64(std::string_view value) {
+  uint64_t out = 0;
+  const char* end = value.data() + value.size();
+  std::from_chars_result parsed = std::from_chars(value.data(), end, out);
+  if (parsed.ec != std::errc() || parsed.ptr != end) return std::nullopt;
+  return out;
 }
 
 // Consumes the header block (up to and including the blank line) of
@@ -189,7 +203,20 @@ Result<Request> ParseRequest(std::string_view payload) {
                                    "'");
   }
 
-  Status mode_error;
+  // The first malformed header's error; later headers are still read.
+  Status header_error;
+  auto number = [&](std::string_view key, std::string_view value,
+                    uint64_t* out) {
+    std::optional<uint64_t> parsed = ParseDecimalU64(value);
+    if (parsed.has_value()) {
+      *out = *parsed;
+    } else if (header_error.ok()) {
+      header_error = Status::InvalidArgument(
+          "header '" + std::string(key) +
+          "' must be an unsigned 64-bit decimal number, got '" +
+          std::string(value) + "'");
+    }
+  };
   s = ConsumeHeaders(payload, &pos,
                      [&](std::string_view key, std::string_view value) {
                        if (key == "mode") {
@@ -197,13 +224,13 @@ Result<Request> ParseRequest(std::string_view payload) {
                              sparql::ParseRequestMode(value);
                          if (mode.ok()) {
                            request.query.mode = *mode;
-                         } else {
-                           mode_error = mode.status();
+                         } else if (header_error.ok()) {
+                           header_error = mode.status();
                          }
                        } else if (key == "deadline-ms") {
-                         request.query.deadline_ms = ParseU64(value);
+                         number(key, value, &request.query.deadline_ms);
                        } else if (key == "max-results") {
-                         request.query.max_results = ParseU64(value);
+                         number(key, value, &request.query.max_results);
                        } else if (key == "candidate") {
                          request.query.candidate = std::string(value);
                        } else if (key == "cache-control") {
@@ -213,20 +240,20 @@ Result<Request> ParseRequest(std::string_view payload) {
                            request.query.cache_bypass = true;
                          }
                        } else if (key == "epoch") {
-                         request.epoch = ParseU64(value);
+                         number(key, value, &request.epoch);
                        } else if (key == "offset") {
-                         request.offset = ParseU64(value);
+                         number(key, value, &request.offset);
                        } else if (key == "next-offset") {
-                         request.next_offset = ParseU64(value);
+                         number(key, value, &request.next_offset);
                        } else if (key == "seq") {
-                         request.seq = ParseU64(value);
+                         number(key, value, &request.seq);
                        } else if (key == "head-seq") {
-                         request.head_seq = ParseU64(value);
+                         number(key, value, &request.head_seq);
                        }
                        // Unknown headers: ignored (forward compatibility).
                      });
   if (!s.ok()) return s;
-  if (!mode_error.ok()) return mode_error;
+  if (!header_error.ok()) return header_error;
 
   std::string body(payload.substr(pos));
   if (request.command == Command::kQuery) {

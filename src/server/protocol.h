@@ -120,6 +120,10 @@ struct Response {
 };
 
 std::string SerializeRequest(const Request& request);
+/// Parses a request payload. The numeric headers (deadline-ms,
+/// max-results, epoch, offset, next-offset, seq, head-seq) must be a
+/// nonempty run of ASCII digits that fits in a uint64; any other value,
+/// like an unknown mode, is kInvalidArgument naming the header.
 Result<Request> ParseRequest(std::string_view payload);
 
 std::string SerializeResponse(const Response& response);

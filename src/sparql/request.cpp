@@ -123,6 +123,11 @@ Result<CompiledRequest> CompileRequest(const QueryRequest& request,
   compiled.options.semantics = request.mode == RequestMode::kMax
                                    ? EvalSemantics::kMaximal
                                    : EvalSemantics::kStandard;
+  // One row past the cap tells the caller whether rows were cut. At
+  // max_results = 2^64 - 1 the sum wraps to 0, which asks for all rows.
+  if (request.max_results != 0) {
+    compiled.options.first_rows = request.max_results + 1;
+  }
   return compiled;
 }
 

@@ -44,7 +44,9 @@ struct QueryRequest {
   /// Wall-clock budget for the whole request; 0 = none.
   uint64_t deadline_ms = 0;
   /// Cap on returned answer rows (0 = unlimited). Truncation is
-  /// reported, never silent.
+  /// reported, never silent: an enumeration compiles to
+  /// `first_rows = max_results + 1`, and the extra row says whether
+  /// more exist.
   uint64_t max_results = 0;
   /// Optional membership candidate, "?x=a ?y=b". When set the request is
   /// a membership check of this mapping (EVAL / PARTIAL-EVAL / MAX-EVAL
@@ -64,9 +66,12 @@ struct CompiledRequest {
   bool check = false;
   Mapping candidate;
   /// Unified per-call options for either entry point (semantics,
-  /// deadline, cache policy; the executor stamps `cache.generation`
-  /// with the snapshot version).
+  /// deadline, cache policy, and for an enumeration with a cap,
+  /// `first_rows = max_results + 1`; the executor stamps
+  /// `cache.generation` with the snapshot version).
   CallOptions options;
+  /// Rows to show: the caller keeps the first max_results rows, and a
+  /// further row means the answer was truncated.
   uint64_t max_results = 0;
 };
 

@@ -1,7 +1,9 @@
 #include "src/wdpt/enumerate.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -150,6 +152,7 @@ class ProjectedEvaluator {
                      const EnumerationLimits& limits)
       : tree_(tree), db_(db), limits_(limits), memo_(tree.num_nodes()) {}
 
+  // All of p(D), sorted.
   Result<std::vector<Mapping>> Run() {
     std::vector<Mapping> answers;
     std::optional<std::vector<Mapping>> root =
@@ -161,7 +164,84 @@ class ProjectedEvaluator {
     return answers;
   }
 
+  // The first `first_rows` rows of p(D), or of p_m(D) when `maximal`,
+  // for a tree whose smallest free variable v is bound at the root
+  // (RowsComeInRootBlocks). Every row then starts with v's binding, so
+  // the canonical order lists the rows in blocks of equal v, in
+  // ascending order of v. The root is searched once; its matches are
+  // grouped by v, and blocks are completed in that order until
+  // `first_rows` rows are out. A row can only be subsumed by a row with
+  // the same v, so p_m(D)'s filter runs per block.
+  Result<std::vector<Mapping>> RunByRootBlocks(uint64_t first_rows,
+                                               bool maximal) {
+    const NodeId root = PatternTree::kRoot;
+    const std::vector<VariableId>& root_vars = tree_.node_vars(root);
+    const size_t width = root_vars.size();
+    const size_t v_column = static_cast<size_t>(
+        std::lower_bound(root_vars.begin(), root_vars.end(),
+                         tree_.free_vars().front()) -
+        root_vars.begin());
+    // Root matches as flat rows of constants over root_vars: a search
+    // from the empty seed binds exactly the label's variables.
+    std::vector<ConstantId> matches;
+    HomSearchLimits hom_limits;
+    hom_limits.cancel = limits_.cancel;
+    ForEachHomomorphism(
+        tree_.label(root), db_, Mapping(),
+        [&](const Mapping& ext) {
+          if (!Step()) return false;
+          WDPT_DCHECK(ext.size() == width);
+          for (const Mapping::Entry& e : ext.entries()) {
+            matches.push_back(e.second);
+          }
+          return true;
+        },
+        hom_limits);
+    Status terminal = TerminalStatus();
+    if (!terminal.ok()) return terminal;
+
+    auto v_value = [&](size_t row) { return matches[row * width + v_column]; };
+    std::vector<size_t> order(matches.size() / width);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return v_value(a) < v_value(b);
+    });
+
+    const std::vector<VariableId> root_free =
+        SortedIntersection(root_vars, tree_.free_vars());
+    std::vector<Mapping> answers;
+    std::vector<Mapping::Entry> entries(width);
+    size_t next = 0;
+    while (next < order.size() && answers.size() < first_rows) {
+      const ConstantId value = v_value(order[next]);
+      MappingSet results;
+      for (; next < order.size() && v_value(order[next]) == value; ++next) {
+        for (size_t i = 0; i < width; ++i) {
+          entries[i] = {root_vars[i], matches[order[next] * width + i]};
+        }
+        AddCompletions(root, root_free, Mapping(entries), &results);
+        if (overflow_ || cancelled_) break;
+      }
+      terminal = TerminalStatus();
+      if (!terminal.ok()) return terminal;
+      std::vector<Mapping> block = Drain(&results);
+      std::sort(block.begin(), block.end());
+      if (maximal) {
+        block = MaximalMappings(block, limits_.cancel);
+        terminal = StatusFromToken(limits_.cancel);
+        if (!terminal.ok()) return terminal;
+      }
+      size_t take = static_cast<size_t>(
+          std::min<uint64_t>(block.size(), first_rows - answers.size()));
+      answers.insert(answers.end(), std::make_move_iterator(block.begin()),
+                     std::make_move_iterator(block.begin() + take));
+    }
+    return answers;
+  }
+
  private:
+  using MappingSet = std::unordered_set<Mapping, MappingHash>;
+
   Status TerminalStatus() const {
     Status token_status = StatusFromToken(limits_.cancel);
     if (!token_status.ok()) return token_status;
@@ -184,6 +264,15 @@ class ProjectedEvaluator {
     return !(overflow_ || cancelled_);
   }
 
+  static std::vector<Mapping> Drain(MappingSet* set) {
+    std::vector<Mapping> out;
+    out.reserve(set->size());
+    while (!set->empty()) {
+      out.push_back(std::move(set->extract(set->begin()).value()));
+    }
+    return out;
+  }
+
   // Projected maximal completions of the subtree rooted at `c` given the
   // ancestor assignment `e` (only e's values on the parent interface of
   // c matter). nullopt = not enterable.
@@ -196,7 +285,7 @@ class ProjectedEvaluator {
 
     std::vector<VariableId> node_free =
         SortedIntersection(tree_.node_vars(c), tree_.free_vars());
-    std::unordered_set<Mapping, MappingHash> results;
+    MappingSet results;
     HomSearchLimits hom_limits;
     hom_limits.cancel = limits_.cancel;
     bool enterable = false;
@@ -205,50 +294,50 @@ class ProjectedEvaluator {
         [&](const Mapping& ext) {
           enterable = true;
           if (!Step()) return false;
-          // Child completion sets under this extension.
-          std::vector<std::vector<Mapping>> child_sets;
-          for (NodeId d : tree_.children(c)) {
-            std::optional<std::vector<Mapping>> cs = Completions(d, ext);
-            if (overflow_ || cancelled_) return false;
-            if (cs.has_value()) child_sets.push_back(std::move(*cs));
-          }
-          // Product of the children's projected completions.
-          Mapping base = ext.RestrictTo(node_free);
-          std::function<void(size_t, const Mapping&)> combine =
-              [&](size_t idx, const Mapping& acc) {
-                if (overflow_ || cancelled_) return;
-                if (idx == child_sets.size()) {
-                  if (!Step()) return;
-                  results.insert(acc);
-                  return;
-                }
-                for (const Mapping& m : child_sets[idx]) {
-                  std::optional<Mapping> merged = Mapping::Union(acc, m);
-                  // Shared free variables are seeded consistently, so the
-                  // union always succeeds.
-                  WDPT_DCHECK(merged.has_value());
-                  combine(idx + 1, *merged);
-                  if (overflow_ || cancelled_) return;
-                }
-              };
-          combine(0, base);
+          AddCompletions(c, node_free, ext, &results);
           return !(overflow_ || cancelled_);
         },
         hom_limits);
     std::optional<std::vector<Mapping>> out;
-    if (enterable) {
-      out.emplace();
-      out->reserve(results.size());
-      while (!results.empty()) {
-        out->push_back(std::move(results.extract(results.begin()).value()));
-      }
-    }
+    if (enterable) out = Drain(&results);
     // The root is completed exactly once, so its entry would be an unread
     // copy of p(D).
     if (c != PatternTree::kRoot && !(overflow_ || cancelled_)) {
       node_memo.emplace(std::move(key), out);
     }
     return out;
+  }
+
+  // Adds to `results` the projected completions of c's subtree that
+  // extend `ext`, a match of c's label: ext restricted to `node_free`
+  // (c's free variables) times every combination of the completions of
+  // c's enterable children under ext.
+  void AddCompletions(NodeId c, const std::vector<VariableId>& node_free,
+                      const Mapping& ext, MappingSet* results) {
+    std::vector<std::vector<Mapping>> child_sets;
+    for (NodeId d : tree_.children(c)) {
+      std::optional<std::vector<Mapping>> cs = Completions(d, ext);
+      if (overflow_ || cancelled_) return;
+      if (cs.has_value()) child_sets.push_back(std::move(*cs));
+    }
+    std::function<void(size_t, const Mapping&)> combine =
+        [&](size_t idx, const Mapping& acc) {
+          if (overflow_ || cancelled_) return;
+          if (idx == child_sets.size()) {
+            if (!Step()) return;
+            results->insert(acc);
+            return;
+          }
+          for (const Mapping& m : child_sets[idx]) {
+            std::optional<Mapping> merged = Mapping::Union(acc, m);
+            // Shared free variables are seeded consistently, so the
+            // union always succeeds.
+            WDPT_DCHECK(merged.has_value());
+            combine(idx + 1, *merged);
+            if (overflow_ || cancelled_) return;
+          }
+        };
+    combine(0, ext.RestrictTo(node_free));
   }
 
   const PatternTree& tree_;
@@ -263,28 +352,52 @@ class ProjectedEvaluator {
   bool cancelled_ = false;
 };
 
-}  // namespace
+// True when the root binds the smallest free variable. Every answer
+// extends a root match, so every row of p(D) then starts with that
+// variable's binding.
+bool RowsComeInRootBlocks(const PatternTree& tree) {
+  return !tree.free_vars().empty() &&
+         tree.TopNode(tree.free_vars().front()) == PatternTree::kRoot;
+}
 
-Result<std::vector<Mapping>> EvaluateWdptProjected(
-    const PatternTree& tree, const Database& db,
-    const EnumerationLimits& limits) {
+// The first `first_rows` rows (0 = all) of p(D), or of p_m(D) when
+// `maximal`. Without a cap, or when the rows do not come in root
+// blocks, all of p(D) is enumerated (and filtered) before the cut.
+Result<std::vector<Mapping>> FirstAnswers(const PatternTree& tree,
+                                          const Database& db,
+                                          const EnumerationLimits& limits,
+                                          uint64_t first_rows, bool maximal) {
   if (!tree.validated()) {
     return Status::InvalidArgument("pattern tree must be validated");
   }
   ProjectedEvaluator evaluator(tree, db, limits);
-  return evaluator.Run();
+  if (first_rows != 0 && RowsComeInRootBlocks(tree)) {
+    return evaluator.RunByRootBlocks(first_rows, maximal);
+  }
+  Result<std::vector<Mapping>> answers = evaluator.Run();
+  if (!answers.ok()) return answers.status();
+  std::vector<Mapping> rows = std::move(*answers);
+  if (maximal) {
+    rows = MaximalMappings(rows, limits.cancel);
+    Status token_status = StatusFromToken(limits.cancel);
+    if (!token_status.ok()) return token_status;
+  }
+  if (first_rows != 0 && rows.size() > first_rows) rows.resize(first_rows);
+  return rows;
+}
+
+}  // namespace
+
+Result<std::vector<Mapping>> EvaluateWdptProjected(
+    const PatternTree& tree, const Database& db,
+    const EnumerationLimits& limits, uint64_t first_rows) {
+  return FirstAnswers(tree, db, limits, first_rows, /*maximal=*/false);
 }
 
 Result<std::vector<Mapping>> EvaluateWdptMaximal(
     const PatternTree& tree, const Database& db,
-    const EnumerationLimits& limits) {
-  Result<std::vector<Mapping>> answers =
-      EvaluateWdptProjected(tree, db, limits);
-  if (!answers.ok()) return answers.status();
-  std::vector<Mapping> maximal = MaximalMappings(*answers, limits.cancel);
-  Status token_status = StatusFromToken(limits.cancel);
-  if (!token_status.ok()) return token_status;
-  return maximal;
+    const EnumerationLimits& limits, uint64_t first_rows) {
+  return FirstAnswers(tree, db, limits, first_rows, /*maximal=*/true);
 }
 
 namespace {

@@ -53,9 +53,19 @@ Status ForEachMaximalHomomorphism(
 /// evaluation paths over the same instance — projected or full
 /// enumeration — produce bit-identical vectors, and a truncation to the
 /// first K rows is deterministic.
+///
+/// `first_rows` != 0 returns only the first min(first_rows, |p(D)|)
+/// rows of that order. When the root binds the smallest free variable,
+/// every row starts with its binding, so the rows come in blocks of
+/// equal value, in ascending order: the root is searched once and its
+/// matches are completed one block at a time until `first_rows` rows
+/// are out. Otherwise all of p(D) is enumerated and cut. A capped call
+/// never takes more steps than the uncapped one, so it may succeed
+/// under a `max_steps` the full enumeration exceeds.
 Result<std::vector<Mapping>> EvaluateWdptProjected(
     const PatternTree& tree, const Database& db,
-    const EnumerationLimits& limits = EnumerationLimits());
+    const EnumerationLimits& limits = EnumerationLimits(),
+    uint64_t first_rows = 0);
 
 /// Reference implementation of p(D) via full maximal-homomorphism
 /// enumeration (kept for differential testing and as the baseline in
@@ -73,10 +83,14 @@ std::vector<Mapping> MaximalMappingsByPairwiseScan(
 
 /// p_m(D): the subsumption-maximal elements of p(D) (Section 3.4). The
 /// maximality filter polls `limits.cancel` too, so a fired token yields
-/// its status at any point of the call.
+/// its status at any point of the call. `first_rows` caps the rows as
+/// for EvaluateWdptProjected; on the block path the filter runs per
+/// block, since a row can only be subsumed by one with the same value
+/// of the smallest free variable.
 Result<std::vector<Mapping>> EvaluateWdptMaximal(
     const PatternTree& tree, const Database& db,
-    const EnumerationLimits& limits = EnumerationLimits());
+    const EnumerationLimits& limits = EnumerationLimits(),
+    uint64_t first_rows = 0);
 
 /// Filters the subsumption-maximal mappings out of `mappings`, keeping
 /// input order and duplicates. Rows are grouped by domain: a row is

@@ -3,7 +3,8 @@
 // misses, waiter deadlines that never poison the owner's entry,
 // differential cache-on vs cache-off evaluation on generated
 // workloads, generation-keyed invalidation (including RELOAD under
-// live traffic), and the `cache-control: bypass` request header.
+// live traffic), row caps in the key, and the `cache-control: bypass`
+// request header.
 
 #include <gtest/gtest.h>
 
@@ -261,6 +262,58 @@ TEST(EngineCache, GenerationChangeInvalidatesAndZeroBypasses) {
   EXPECT_EQ(stats.answer_cache_misses, 2u);
   EXPECT_EQ(stats.answer_cache_bypasses, 2u);
   EXPECT_EQ(stats.answer_cache_inserts, 2u);
+}
+
+TEST(EngineCache, FirstRowsAreKeyedSoEachCapGetsItsOwnPrefix) {
+  // Ten records over three bands, every other one rated: more than five
+  // rows under both semantics. The root binds ?x, the smallest free
+  // variable, so capped calls take the root-block path.
+  RdfContext ctx;
+  PatternTree tree;
+  tree.AddAtom(PatternTree::kRoot, ctx.TriplePattern("?x", "rb", "?y"));
+  tree.AddChild(PatternTree::kRoot, {ctx.TriplePattern("?x", "nr", "?z")});
+  tree.SetFreeVariables({ctx.vocab().Variable("x").variable_id(),
+                         ctx.vocab().Variable("y").variable_id(),
+                         ctx.vocab().Variable("z").variable_id()});
+  ASSERT_TRUE(tree.Validate().ok());
+  Database db = ctx.MakeDatabase();
+  for (int i = 0; i < 10; ++i) {
+    std::string rec = "r" + std::to_string(i);
+    ctx.AddTriple(&db, rec, "rb", "b" + std::to_string(i % 3));
+    if (i % 2 == 0) ctx.AddTriple(&db, rec, "nr", std::to_string(i));
+  }
+
+  for (EvalSemantics semantics :
+       {EvalSemantics::kStandard, EvalSemantics::kMaximal}) {
+    CallOptions plain;
+    plain.semantics = semantics;
+    Result<std::vector<Mapping>> all = Engine().Enumerate(tree, db, plain);
+    ASSERT_TRUE(all.ok());
+    ASSERT_GT(all->size(), 5u);
+    auto prefix = [&](size_t k) {
+      return std::vector<Mapping>(all->begin(), all->begin() + k);
+    };
+
+    EngineOptions eopts;
+    eopts.answer_cache_bytes = 1 << 20;
+    Engine engine(eopts);
+    CallOptions options = plain;
+    options.cache.generation = 1;
+    // One tree, one generation: caps 3, none, 5, then 3 again.
+    const uint64_t caps[] = {3, 0, 5, 3};
+    for (uint64_t cap : caps) {
+      options.first_rows = cap;
+      Result<std::vector<Mapping>> rows = engine.Enumerate(tree, db, options);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(*rows, cap == 0 ? *all : prefix(cap)) << "cap " << cap;
+    }
+    // Only the repeated cap hits; the uncapped call was never served
+    // the three-row entry.
+    EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.answer_cache_misses, 3u);
+    EXPECT_EQ(stats.answer_cache_hits, 1u);
+    EXPECT_EQ(stats.answer_cache_inserts, 3u);
+  }
 }
 
 TEST(EngineCache, EvalVerdictsAreCachedPerSemantics) {

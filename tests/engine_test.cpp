@@ -4,7 +4,9 @@
 // query families, the maximality filter agrees with the pairwise-scan
 // reference, the plan cache hits on repeated queries, and
 // deadlines/cancellation produce kDeadlineExceeded/kCancelled — never a
-// partial answer, the p_m(D) maximality filter included.
+// partial answer, the p_m(D) maximality filter included. A call capped
+// at its first rows returns a prefix of the uncapped answer, on the
+// root-block path and on the fallback alike.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/engine/engine.h"
 #include "src/gen/db_gen.h"
 #include "src/gen/reductions.h"
@@ -484,14 +487,44 @@ TEST(EngineEnumerate, MatchesDirectEvaluators) {
   EXPECT_EQ(*via_engine_max, *direct_max);
 }
 
+// The first min(k, |rows|) rows of `rows`; k = 0 keeps them all, as
+// first_rows = 0 does.
+std::vector<Mapping> FirstRows(const std::vector<Mapping>& rows, uint64_t k) {
+  if (k == 0) return rows;
+  size_t n = static_cast<size_t>(std::min<uint64_t>(k, rows.size()));
+  return std::vector<Mapping>(rows.begin(), rows.begin() + n);
+}
+
+// Enumerate with first_rows = K, for K in {1, 2, |ref| - 1, |ref|,
+// |ref| + 1}, returns the first min(K, |ref|) rows of `reference`. On
+// an empty reference |ref| - 1 wraps to 2^64 - 1, a cap no answer
+// reaches; on a one-row reference it is 0, which asks for all rows.
+void ExpectFirstRowsArePrefixes(Engine* engine, const PatternTree& tree,
+                                const Database& db, EvalSemantics semantics,
+                                const std::vector<Mapping>& reference) {
+  const uint64_t n = reference.size();
+  for (uint64_t k : {uint64_t{1}, uint64_t{2}, n - 1, n, n + 1}) {
+    CallOptions options;
+    options.semantics = semantics;
+    options.first_rows = k;
+    Result<std::vector<Mapping>> capped = engine->Enumerate(tree, db, options);
+    ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+    EXPECT_EQ(*capped, FirstRows(reference, k))
+        << "first_rows " << k << " of " << n;
+  }
+}
+
 // Enumerate under both semantics against the reference evaluators:
 // full maximal-homomorphism enumeration for p(D), and the pairwise-scan
-// maximality filter over it for p_m(D).
+// maximality filter over it for p_m(D). Capped calls must return
+// prefixes of the same references.
 void ExpectEnumerateMatchesReference(const PatternTree& tree,
                                      const Database& db) {
   Result<std::vector<Mapping>> reference =
       EvaluateWdptByFullEnumeration(tree, db);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::vector<Mapping> maximal_reference =
+      MaximalMappingsByPairwiseScan(*reference);
   Engine engine;
   CallOptions options;
   Result<std::vector<Mapping>> standard = engine.Enumerate(tree, db, options);
@@ -500,7 +533,20 @@ void ExpectEnumerateMatchesReference(const PatternTree& tree,
   options.semantics = EvalSemantics::kMaximal;
   Result<std::vector<Mapping>> maximal = engine.Enumerate(tree, db, options);
   ASSERT_TRUE(maximal.ok()) << maximal.status().ToString();
-  EXPECT_EQ(*maximal, MaximalMappingsByPairwiseScan(*reference));
+  EXPECT_EQ(*maximal, maximal_reference);
+  ExpectFirstRowsArePrefixes(&engine, tree, db, EvalSemantics::kStandard,
+                             *reference);
+  ExpectFirstRowsArePrefixes(&engine, tree, db, EvalSemantics::kMaximal,
+                             maximal_reference);
+}
+
+// Homomorphism searches made by one Enumerate call.
+uint64_t HomCallsOf(Engine* engine, const PatternTree& tree,
+                    const Database& db, const CallOptions& options) {
+  uint64_t before = metrics::Load(metrics::HomomorphismCalls());
+  Result<std::vector<Mapping>> answers = engine->Enumerate(tree, db, options);
+  EXPECT_TRUE(answers.ok()) << answers.status().ToString();
+  return metrics::Load(metrics::HomomorphismCalls()) - before;
 }
 
 // Hostile query families through Enumerate, each against the
@@ -560,6 +606,147 @@ TEST(ShardedEnumerate, MusicCatalogMatchesUnsharded) {
     options.seed = seed;
     Database db = gen::MakeMusicCatalog(&ctx, options);
     ExpectEnumerateMatchesReference(MakeFigure1Tree(&ctx), db);
+  }
+}
+
+TEST(EngineEnumerate, FirstRowsArePrefixesOnTheBlockPathAndTheFallback) {
+  // Figure 1 over the catalog (x = record, y = band, z = rating, z2 =
+  // year). With free {x, y, z} or {y, z} the root binds the smallest free
+  // variable, so a capped call completes root blocks in order; with
+  // {z, z2} it does not, and neither does the Boolean tree, so those
+  // enumerate everything and cut. {y, z} is the catalog projected to
+  // {band, rating}: a band with a rated and an unrated record gives a
+  // {band} row that {band, rating} subsumes, so p_m(D) != p(D) and the
+  // per-block maximality filter has rows to drop.
+  struct Case {
+    std::vector<std::string> free;
+    bool blocks;
+  };
+  const std::vector<Case> cases = {
+      {{"x", "y", "z"}, true}, {{"y", "z"}, true}, {{"z", "z2"}, false},
+      {{}, false}};
+  for (uint64_t seed : {1u, 2u}) {
+    RdfContext ctx;
+    gen::MusicCatalogOptions catalog;
+    catalog.num_bands = 30;
+    catalog.seed = seed;
+    Database db = gen::MakeMusicCatalog(&ctx, catalog);
+    for (const Case& c : cases) {
+      std::string free;
+      for (const std::string& v : c.free) free += " " + v;
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", free {" + free +
+                   " }");
+      PatternTree tree = MakeFigure1Tree(&ctx, c.free);
+      ExpectEnumerateMatchesReference(tree, db);
+      // The block path completes only the blocks it returns, so one row
+      // costs fewer searches than all of them; the fallback pays for
+      // every row.
+      Engine engine;
+      CallOptions all;
+      CallOptions one;
+      one.first_rows = 1;
+      uint64_t capped_calls = HomCallsOf(&engine, tree, db, one);
+      uint64_t all_calls = HomCallsOf(&engine, tree, db, all);
+      if (c.blocks) {
+        EXPECT_LT(capped_calls, all_calls);
+      } else {
+        EXPECT_EQ(capped_calls, all_calls);
+      }
+    }
+    Result<std::vector<Mapping>> rows =
+        EvaluateWdptProjected(MakeFigure1Tree(&ctx, {"y", "z"}), db);
+    Result<std::vector<Mapping>> maximal =
+        EvaluateWdptMaximal(MakeFigure1Tree(&ctx, {"y", "z"}), db);
+    ASSERT_TRUE(rows.ok() && maximal.ok());
+    EXPECT_LT(maximal->size(), rows->size());
+  }
+}
+
+TEST(EngineEnumerate, FirstRowsKeepTheDeadlineCancelAndStepContracts) {
+  RdfContext ctx;
+  gen::MusicCatalogOptions catalog;
+  catalog.num_bands = 200;
+  Database db = gen::MakeMusicCatalog(&ctx, catalog);
+  PatternTree tree = MakeFigure1Tree(&ctx);  // Free {x, y, z}: blocks.
+  Engine engine;
+  CancelToken cancelled = CancelToken::Create();
+  cancelled.RequestCancel();
+  CancelToken expired = CancelToken::WithDeadline(
+      std::chrono::steady_clock::now() - std::chrono::seconds(1));
+
+  for (EvalSemantics semantics :
+       {EvalSemantics::kStandard, EvalSemantics::kMaximal}) {
+    const bool is_maximal = semantics == EvalSemantics::kMaximal;
+    SCOPED_TRACE(is_maximal ? "p_m(D)" : "p(D)");
+    CallOptions options;
+    options.semantics = semantics;
+    options.first_rows = 3;
+    auto evaluate = [&](const EnumerationLimits& limits) {
+      return is_maximal ? EvaluateWdptMaximal(tree, db, limits, 3)
+                        : EvaluateWdptProjected(tree, db, limits, 3);
+    };
+
+    // A fired token never yields rows, through the engine or straight
+    // into the block path.
+    CallOptions late = options;
+    late.deadline = std::chrono::nanoseconds(0);
+    Result<std::vector<Mapping>> r = engine.Enumerate(tree, db, late);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+    CallOptions stopped = options;
+    stopped.cancel = cancelled;
+    r = engine.Enumerate(tree, db, stopped);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+    EnumerationLimits limits;
+    limits.cancel = expired;
+    r = evaluate(limits);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+    limits.cancel = cancelled;
+    r = evaluate(limits);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+
+    // The root alone has hundreds of matches: a budget of 5 steps runs
+    // out in the root pass.
+    CallOptions tight = options;
+    tight.limits.max_steps = 5;
+    r = engine.Enumerate(tree, db, tight);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+
+    // A call fails exactly when its steps exceed max_steps, so the
+    // smallest budget it succeeds under is its step count. The capped
+    // call takes fewer steps than the uncapped one, so under its own
+    // count it succeeds where the full enumeration runs out.
+    auto steps_of = [&](CallOptions call) {
+      uint64_t lo = 1;
+      uint64_t hi = EnumerationLimits().max_steps;
+      while (lo < hi) {
+        uint64_t mid = lo + (hi - lo) / 2;
+        call.limits.max_steps = mid;
+        if (engine.Enumerate(tree, db, call).ok()) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      return lo;
+    };
+    CallOptions uncapped = options;
+    uncapped.first_rows = 0;
+    uint64_t capped_steps = steps_of(options);
+    uint64_t full_steps = steps_of(uncapped);
+    EXPECT_LT(capped_steps, full_steps);
+    options.limits.max_steps = capped_steps;
+    uncapped.limits.max_steps = capped_steps;
+    r = engine.Enumerate(tree, db, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->size(), 3u);
+    r = engine.Enumerate(tree, db, uncapped);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   }
 }
 

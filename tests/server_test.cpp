@@ -3,9 +3,11 @@
 // example bit-identical to the shared execution path, concurrent
 // clients, deadlines surfacing kDeadlineExceeded over the wire,
 // admission-control overload shedding, hot snapshot swaps with no torn
-// reads, the stats JSON schema, and requests compiled against the
-// snapshot's vocabulary in place: bit-identical to compiling against a
-// copy, safe under concurrency, and at a cost flat in |D|.
+// reads, the stats JSON schema, strict numeric request headers, LIMIT
+// answers that are prefixes of the uncapped answer at a homomorphism
+// count flat in |D|, and requests compiled against the snapshot's
+// vocabulary in place: bit-identical to compiling against a copy, safe
+// under concurrency, and at a cost flat in |D|.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/percentile.h"
 #include "src/engine/answer_cache.h"
 #include "src/engine/engine.h"
@@ -193,6 +196,84 @@ TEST(Protocol, MalformedPayloadsAreRejected) {
                 .status()
                 .code(),
             StatusCode::kParseError);
+}
+
+TEST(Protocol, MalformedNumericHeadersAreRejected) {
+  const char* const headers[] = {"deadline-ms", "max-results", "epoch",
+                                 "offset",      "next-offset", "seq",
+                                 "head-seq"};
+  const char* const values[] = {"ten",  "10x", "-1",   "soon",
+                                "",     " 10", "+10",  "0x10",
+                                "99999999999999999999999"};
+  for (const char* header : headers) {
+    for (const char* value : values) {
+      std::string payload = std::string("WDPT/1 QUERY\n") + header + ": " +
+                            value + "\n\n" + kFig1Query;
+      Result<Request> parsed = ParseRequest(payload);
+      ASSERT_FALSE(parsed.ok()) << header << ": '" << value << "'";
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find(std::string("'") + header +
+                                                "'"),
+                std::string::npos)
+          << parsed.status().ToString();
+    }
+  }
+
+  // Well-formed values still parse, up to the largest uint64.
+  Result<Request> query = ParseRequest(
+      std::string("WDPT/1 QUERY\nmax-results: 10\n"
+                  "deadline-ms: 18446744073709551615\n\n") +
+      kFig1Query);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  EXPECT_EQ(query->query.max_results, 10u);
+  EXPECT_EQ(query->query.deadline_ms, UINT64_MAX);
+  Result<Request> genesis =
+      ParseRequest("WDPT/1 SUBSCRIBE\nepoch: 0\noffset: 0\n\n");
+  ASSERT_TRUE(genesis.ok()) << genesis.status().ToString();
+  EXPECT_EQ(genesis->epoch, 0u);
+  EXPECT_EQ(genesis->offset, 0u);
+
+  // On the wire the bad header gets invalid-argument, and the session
+  // serves the next request.
+  std::unique_ptr<Server> server = StartServer(kFig1Triples);
+  Result<int> fd = ConnectTcp("127.0.0.1", server->port());
+  ASSERT_TRUE(fd.ok());
+  auto roundtrip = [&](const std::string& payload) {
+    EXPECT_TRUE(WriteFrame(*fd, payload).ok());
+    Result<std::string> frame = ReadFrame(*fd);
+    EXPECT_TRUE(frame.ok());
+    return frame.ok() ? ParseResponse(*frame)
+                      : Result<Response>(frame.status());
+  };
+  Result<Response> rejected = roundtrip(
+      std::string("WDPT/1 QUERY\nmax-results: ten\n\n") + kFig1Query);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(rejected->code, StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected->message.find("max-results"), std::string::npos);
+  Result<Response> served = roundtrip(
+      std::string("WDPT/1 QUERY\nmax-results: 1\n\n") + kFig1Query);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->code, StatusCode::kOk);
+  EXPECT_EQ(served->rows.size(), 1u);
+  EXPECT_TRUE(served->truncated);
+  CloseSocket(*fd);
+}
+
+TEST(RequestCompiler, LimitAsksForOneRowPastTheCap) {
+  RdfContext ctx;
+  sparql::QueryRequest request;
+  request.query = kFig1Query;
+  for (uint64_t cap : {uint64_t{0}, uint64_t{1}, uint64_t{10}, UINT64_MAX}) {
+    request.max_results = cap;
+    Result<sparql::CompiledRequest> compiled =
+        sparql::CompileRequest(request, &ctx);
+    ASSERT_TRUE(compiled.ok());
+    EXPECT_EQ(compiled->max_results, cap);
+    // No cap asks for every row, and so does the largest one, whose
+    // extra row would not fit in 64 bits.
+    EXPECT_EQ(compiled->options.first_rows,
+              cap == 0 || cap == UINT64_MAX ? 0 : cap + 1);
+  }
 }
 
 TEST(RequestCompiler, PartialModeRequiresCandidate) {
@@ -1035,6 +1116,81 @@ TEST(ServerExec, PerRequestCostIsFlatInDatabaseSize) {
   EXPECT_LE(large_median, 2.0 * small_median)
       << "median ns at 500 bands: " << small_median
       << ", at 8,000 bands: " << large_median;
+}
+
+// Figure 1 over the generated catalog, projected by `select`.
+std::string CatalogQuery(const std::string& select) {
+  return select +
+         " WHERE ((((?rec, recorded_by, ?band) AND "
+         "(?rec, published, after_2010)) OPT (?rec, NME_rating, ?rating)) "
+         "OPT (?band, formed_in, ?year))";
+}
+
+TEST(ServerExec, LimitReturnsAPrefixAndTruncatesExactlyWhenRowsAreLeft) {
+  // {rec, band, rating} puts the smallest variable, ?rec, at the root,
+  // so capped calls complete root blocks; {rating, band} puts it in an
+  // optional child, so they enumerate everything and cut.
+  std::shared_ptr<const Snapshot> snapshot =
+      MustLoad(gen::CatalogTriples(50), 1);
+  Engine engine(EngineOptions{1, 16});
+  for (const char* select :
+       {"SELECT ?rec ?band ?rating", "SELECT ?rating ?band"}) {
+    for (sparql::RequestMode mode :
+         {sparql::RequestMode::kEval, sparql::RequestMode::kMax}) {
+      SCOPED_TRACE(std::string(select) + " | " +
+                   sparql::RequestModeName(mode));
+      const std::string query = CatalogQuery(select);
+      Response full =
+          ExecuteQuery(&engine, *snapshot, MakeRequest(query, mode));
+      ASSERT_TRUE(full.ok()) << full.message;
+      ASSERT_FALSE(full.truncated);
+      const uint64_t n = full.rows.size();
+      ASSERT_GT(n, 2u);
+      for (uint64_t k : {uint64_t{1}, uint64_t{2}, n - 1, n, n + 1,
+                         UINT64_MAX}) {
+        Response capped =
+            ExecuteQuery(&engine, *snapshot, MakeRequest(query, mode, "", k));
+        ASSERT_TRUE(capped.ok()) << capped.message;
+        size_t shown = static_cast<size_t>(std::min(k, n));
+        EXPECT_EQ(capped.rows, std::vector<std::string>(
+                                   full.rows.begin(),
+                                   full.rows.begin() + shown))
+            << "LIMIT " << k;
+        EXPECT_EQ(capped.truncated, n > k) << "LIMIT " << k;
+      }
+    }
+  }
+}
+
+TEST(ServerExec, LimitWorkIsFlatInDatabaseSize) {
+  // LIMIT 10 of Figure 1 {rec, band, rating} completes only the first
+  // root blocks in ?rec order. The 500-band catalog's triples are a
+  // prefix of the 8,000-band one's, so those blocks are the same facts
+  // under the same ids, and both requests must make the same number of
+  // homomorphism searches, and few. Counts are exact, so the gate holds
+  // on any host and under the sanitizers.
+  const sparql::QueryRequest request = MakeRequest(
+      CatalogQuery("SELECT ?rec ?band ?rating"), sparql::RequestMode::kEval,
+      "", 10);
+  std::vector<std::string> rows[2];
+  uint64_t calls[2] = {0, 0};
+  const uint32_t bands[2] = {500, 8000};
+  for (int k = 0; k < 2; ++k) {
+    std::shared_ptr<const Snapshot> snapshot =
+        MustLoad(gen::CatalogTriples(bands[k]), 1);
+    Engine engine(EngineOptions{1, 16});
+    uint64_t before = metrics::Load(metrics::HomomorphismCalls());
+    Response response = ExecuteQuery(&engine, *snapshot, request);
+    calls[k] = metrics::Load(metrics::HomomorphismCalls()) - before;
+    ASSERT_TRUE(response.ok()) << response.message;
+    EXPECT_EQ(response.rows.size(), 10u);
+    EXPECT_TRUE(response.truncated);
+    rows[k] = response.rows;
+  }
+  EXPECT_EQ(rows[0], rows[1]);
+  EXPECT_EQ(calls[0], calls[1]) << "homomorphism searches at 500 bands: "
+                                << calls[0] << ", at 8,000: " << calls[1];
+  EXPECT_LT(calls[1], 100u);
 }
 
 }  // namespace

@@ -165,15 +165,21 @@ int main(int argc, char** argv) {
     dump_stats();
     return 1;
   }
-  size_t shown = 0;
-  for (const Mapping& m : *answers) {
-    if (compiled->max_results != 0 && shown >= compiled->max_results) break;
-    ++shown;
-    std::printf("%s\n", m.ToString(ctx.vocab()).c_str());
+  // With --limit N the engine returns at most N + 1 rows; a row past N
+  // means more exist.
+  size_t shown = answers->size();
+  bool more = false;
+  if (compiled->max_results != 0 && shown > compiled->max_results) {
+    shown = compiled->max_results;
+    more = true;
   }
-  std::fprintf(stderr, "%zu answer(s) under %s semantics\n", answers->size(),
+  for (size_t i = 0; i < shown; ++i) {
+    std::printf("%s\n", (*answers)[i].ToString(ctx.vocab()).c_str());
+  }
+  std::fprintf(stderr, "%zu answer(s) shown under %s semantics%s\n", shown,
                request.mode == sparql::RequestMode::kMax ? "maximal-mapping"
-                                                         : "standard");
+                                                         : "standard",
+               more ? "; more exist" : "");
   dump_stats();
   return 0;
 }
